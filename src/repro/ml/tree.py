@@ -1,11 +1,16 @@
 """CART decision trees (binary classification) from scratch.
 
-Split search is quantile-histogram based: per candidate feature, up to
-``n_thresholds`` quantile cut points are evaluated in one vectorised pass.
-This trades a little exactness for an order-of-magnitude speedup over sorted
-scans, which matters because the benchmarks train many forests.  Impurity
-decrease per feature is accumulated into feature importances (needed for the
-paper's Figure A1 analysis).
+Split search is quantile based: at each node, up to ``n_thresholds`` evenly
+spaced rank cut points are evaluated for *all* sampled features in one
+vectorised pass over the ``(features, samples)`` block — one stable argsort
+and one label cumsum, left-side counts read from the ends of runs of tied
+values, and one masked Gini-decrease matrix whose first maximum (lowest
+rank, then earliest drawn feature) is the split.  This trades a little
+exactness for an order-of-magnitude speedup over exhaustive sorted scans,
+which matters because the benchmarks train many forests.  Features must be
+finite; NaN has no place in the order a cut relies on.  Impurity decrease per
+feature is accumulated into feature importances (needed for the paper's
+Figure A1 analysis).
 """
 
 from __future__ import annotations
@@ -104,6 +109,8 @@ class DecisionTree:
         bad = set(np.unique(y)) - {0, 1}
         if bad:
             raise ValueError(f"labels must be binary, found {sorted(bad)}")
+        if not np.isfinite(x).all():
+            raise ValueError("x must be finite (no NaN or inf)")
         self._n_features = x.shape[1]
         self.feature_importances_ = np.zeros(self._n_features)
         rng = derive_rng(self.config.seed, "tree-features")
@@ -111,18 +118,23 @@ class DecisionTree:
             np.arange(x.shape[0]) if sample_indices is None
             else np.asarray(sample_indices, dtype=np.int64)
         )
-        self._root = self._build(x, y, indices, depth=0, rng=rng,
-                                 n_total=indices.size)
+        self._root = self._build(np.ascontiguousarray(x.T), y, indices,
+                                 depth=0, rng=rng, n_total=indices.size)
         total = self.feature_importances_.sum()
         if total > 0:
             self.feature_importances_ /= total
         return self
 
     def _best_split(
-        self, x: np.ndarray, y: np.ndarray, indices: np.ndarray,
+        self, xt: np.ndarray, y: np.ndarray, indices: np.ndarray,
         rng: np.random.Generator,
     ) -> Optional[Tuple[int, float, float]]:
-        """Return ``(feature, threshold, impurity_decrease)`` or None."""
+        """Return ``(feature, threshold, impurity_decrease)`` or None.
+
+        ``xt`` is the transposed feature matrix, ``(d, n)``.  Ties resolve to
+        the lowest candidate rank within a feature, then to the earliest
+        feature in draw order.
+        """
         config = self.config
         n = indices.size
         labels = y[indices]
@@ -134,55 +146,59 @@ class DecisionTree:
             return None
         k = config.resolve_max_features(self._n_features)
         features = rng.choice(self._n_features, size=k, replace=False)
-        best = None
-        best_decrease = 1e-12
-        for feature in features:
-            values = x[indices, feature]
-            order = np.argsort(values, kind="stable")
-            sorted_values = values[order]
-            if sorted_values[0] == sorted_values[-1]:
-                continue
-            cum_pos = np.cumsum(labels[order])
-            # Candidate cuts at evenly spaced ranks; each cut keeps every
-            # duplicate of its threshold value on the left side.
-            ranks = np.unique(
-                np.linspace(
-                    config.min_samples_leaf - 1,
-                    n - config.min_samples_leaf - 1,
-                    num=min(config.n_thresholds, n),
-                ).astype(np.int64)
-            )
-            ranks = ranks[(ranks >= 0) & (ranks < n - 1)]
-            if ranks.size == 0:
-                continue
-            n_left = np.searchsorted(
-                sorted_values, sorted_values[ranks], side="right"
-            )
-            n_left = np.unique(n_left)
-            n_left = n_left[
-                (n_left >= config.min_samples_leaf)
-                & (n - n_left >= config.min_samples_leaf)
-            ]
-            if n_left.size == 0:
-                continue
-            n_right = n - n_left
-            pos_left = cum_pos[n_left - 1]
-            pos_right = n_pos - pos_left
-            gini_left = _gini_from_counts(pos_left, n_left)
-            gini_right = _gini_from_counts(pos_right, n_right)
-            child = (n_left * gini_left + n_right * gini_right) / n
-            decrease = parent_gini - child
-            pick = int(np.argmax(decrease))
-            if decrease[pick] > best_decrease:
-                best_decrease = float(decrease[pick])
-                best = (
-                    int(feature),
-                    float(sorted_values[n_left[pick] - 1]),
-                    best_decrease,
-                )
-        return best
+        # Candidate cuts at evenly spaced ranks, shared by every feature;
+        # each cut keeps every duplicate of its threshold value on the left.
+        ranks = np.unique(
+            np.linspace(
+                config.min_samples_leaf - 1,
+                n - config.min_samples_leaf - 1,
+                num=min(config.n_thresholds, n),
+            ).astype(np.int64)
+        )
+        ranks = ranks[(ranks >= 0) & (ranks < n - 1)]
+        if ranks.size == 0:
+            return None
+        rows = np.arange(k)[:, None]
+        block = xt[features[:, None], indices]
+        order = np.argsort(block, axis=1, kind="stable")
+        sorted_values = block[rows, order]
+        cum_pos = np.cumsum(labels[order], axis=1)
+        # n_left[f, r] counts the values <= sorted_values[f, r]: one past the
+        # end of the run of equal values holding rank r, found by a reverse
+        # running minimum over the positions where a run ends.
+        run_ends = np.empty((k, n), dtype=bool)
+        np.not_equal(
+            sorted_values[:, 1:], sorted_values[:, :-1], out=run_ends[:, :-1]
+        )
+        run_ends[:, -1] = True
+        next_end = np.where(run_ends, np.arange(1, n + 1), n)
+        n_left = np.minimum.accumulate(next_end[:, ::-1], axis=1)[:, ::-1][:, ranks]
+        n_right = n - n_left
+        pos_left = cum_pos[rows, n_left - 1]
+        pos_right = n_pos - pos_left
+        gini_left = _gini_from_counts(pos_left, n_left)
+        gini_right = _gini_from_counts(pos_right, n_right)
+        child = (n_left * gini_left + n_right * gini_right) / n
+        decrease = parent_gini - child
+        # A constant feature has n_left == n at every rank, so the leaf
+        # floor masks it along with every other undersized side.
+        valid = (
+            (n_left >= config.min_samples_leaf)
+            & (n_right >= config.min_samples_leaf)
+        )
+        decrease = np.where(valid, decrease, -np.inf)
+        best = int(np.argmax(decrease.max(axis=1)))
+        pick = int(np.argmax(decrease[best]))
+        gain = float(decrease[best, pick])
+        if gain <= 1e-12:
+            return None
+        return (
+            int(features[best]),
+            float(sorted_values[best, n_left[best, pick] - 1]),
+            gain,
+        )
 
-    def _build(self, x: np.ndarray, y: np.ndarray, indices: np.ndarray,
+    def _build(self, xt: np.ndarray, y: np.ndarray, indices: np.ndarray,
                depth: int, rng: np.random.Generator, n_total: int) -> _Node:
         node = _Node()
         labels = y[indices]
@@ -193,11 +209,11 @@ class DecisionTree:
             or labels.min() == labels.max()
         ):
             return node
-        split = self._best_split(x, y, indices, rng)
+        split = self._best_split(xt, y, indices, rng)
         if split is None:
             return node
         feature, threshold, decrease = split
-        mask = x[indices, feature] <= threshold
+        mask = xt[feature, indices] <= threshold
         left_idx = indices[mask]
         right_idx = indices[~mask]
         if (
@@ -208,8 +224,8 @@ class DecisionTree:
         self.feature_importances_[feature] += decrease * indices.size / n_total
         node.feature = feature
         node.threshold = threshold
-        node.left = self._build(x, y, left_idx, depth + 1, rng, n_total)
-        node.right = self._build(x, y, right_idx, depth + 1, rng, n_total)
+        node.left = self._build(xt, y, left_idx, depth + 1, rng, n_total)
+        node.right = self._build(xt, y, right_idx, depth + 1, rng, n_total)
         return node
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:

@@ -247,21 +247,31 @@ def _bert_pretrain_step() -> Tuple[Benchmark, dict]:
 
 
 def _rf_fit() -> Tuple[Benchmark, dict]:
+    """One bench-cell forest: a 3 x 64 triple feature vector, 30 trees, depth 16.
+
+    The checksum covers the rounded held-out probabilities and the whole
+    importance vector, so any change to a single split shows up; the sum of
+    the (normalised) importances alone would always read ~1.0.
+    """
     from repro.ml.forest import RandomForest, RandomForestConfig
 
     params = {
-        "n_samples": 400,
-        "n_features": 32,
-        "n_estimators": 8,
-        "max_depth": 8,
+        "n_samples": 750,
+        "n_test": 250,
+        "n_features": 192,
+        "n_estimators": 30,
+        "max_depth": 16,
         "seed": WORKLOAD_SEED,
     }
 
     def setup() -> dict:
         rng = derive_rng(params["seed"], "perf-rf")
-        x = rng.normal(size=(params["n_samples"], params["n_features"]))
-        y = (x[:, 0] + 0.5 * x[:, 1] - 0.25 * x[:, 2] > 0).astype(np.int64)
-        return {"x": x, "y": y}
+        n = params["n_samples"] + params["n_test"]
+        x = rng.normal(size=(n, params["n_features"]))
+        signal = x[:, 0] + 0.5 * x[:, 64] - 0.25 * x[:, 128]
+        y = (signal + rng.normal(0.0, 0.5, size=n) > 0).astype(np.int64)
+        train = params["n_samples"]
+        return {"x": x[:train], "y": y[:train], "x_test": x[train:]}
 
     def run(state: object) -> object:
         forest = RandomForest(
@@ -271,7 +281,10 @@ def _rf_fit() -> Tuple[Benchmark, dict]:
                 seed=params["seed"],
             )
         ).fit(state["x"], state["y"])
-        return round(float(np.sum(forest.feature_importances_)), 6)
+        return (
+            np.round(forest.predict_proba(state["x_test"]), 6).tolist(),
+            np.round(forest.feature_importances_, 6).tolist(),
+        )
 
     return Benchmark("rf_fit", run, setup=setup), params
 

@@ -51,12 +51,33 @@ EXECUTORS = ("thread", "process")
 
 @dataclass(frozen=True)
 class StageResult:
-    """Outcome of one stage in a scheduler run."""
+    """Outcome of one stage in a scheduler run.
+
+    ``duration_s`` is the stage's run time, measured inside the pool worker;
+    ``queue_wait_s`` is the rest of the time from submission until the
+    scheduler saw it finish (waiting for a free worker, plus hand-back).
+    """
 
     stage: str
     status: str  # "ok" | "failed" | "skipped"
     duration_s: float = 0.0
     error: Optional[str] = None
+    queue_wait_s: float = 0.0
+
+
+def _run_timed(fn, *args) -> float:
+    """Pool-worker body: call ``fn(*args)`` and return how long it ran.
+
+    Must be importable at module level (the process executor pickles it).
+    A failure re-raises with the run time attached as ``stage_run_s``.
+    """
+    started = time.perf_counter()
+    try:
+        fn(*args)
+    except Exception as error:
+        error.stage_run_s = time.perf_counter() - started
+        raise
+    return time.perf_counter() - started
 
 
 def _process_build_stage(config_kwargs: dict, stage_name: str) -> str:
@@ -135,7 +156,7 @@ class StageScheduler:
         done: Set[str] = set(wanted) - set(runnable)
         failed_or_skipped: Set[str] = set()
         pending: Dict[object, str] = {}
-        started: Dict[str, float] = {}
+        submitted_at: Dict[str, float] = {}
         submitted: Set[str] = set()
 
         def ready_stages() -> List[str]:
@@ -171,19 +192,29 @@ class StageScheduler:
         while True:
             for name in ready_stages():
                 submitted.add(name)
-                started[name] = time.perf_counter()
+                submitted_at[name] = time.perf_counter()
                 pending[submit(pool, name)] = name
             if not pending:
                 break
             finished, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in finished:
                 name = pending.pop(future)
-                duration = time.perf_counter() - started[name]
+                elapsed = time.perf_counter() - submitted_at[name]
                 error = future.exception()
+                # A pool that broke before running the stage reports no run
+                # time; all of the elapsed time is then charged to the run.
+                duration = (
+                    future.result() if error is None
+                    else getattr(error, "stage_run_s", elapsed)
+                )
+                queue_wait = max(0.0, elapsed - duration)
                 if error is None:
                     done.add(name)
                     results[name] = StageResult(
-                        stage=name, status="ok", duration_s=duration
+                        stage=name,
+                        status="ok",
+                        duration_s=duration,
+                        queue_wait_s=queue_wait,
                     )
                 else:
                     failed_or_skipped.add(name)
@@ -192,6 +223,7 @@ class StageScheduler:
                         status="failed",
                         duration_s=duration,
                         error=f"{type(error).__name__}: {error}",
+                        queue_wait_s=queue_wait,
                     )
                     skip_descendants(name)
 
@@ -230,7 +262,7 @@ class StageScheduler:
                 set(wanted),
                 pool,
                 lambda p, name: p.submit(
-                    self._materialize_adopted, parent, name
+                    _run_timed, self._materialize_adopted, parent, name
                 ),
                 raise_on_error,
             )
@@ -259,7 +291,7 @@ class StageScheduler:
                 runnable,
                 pool,
                 lambda p, name: p.submit(
-                    _process_build_stage, config_kwargs, name
+                    _run_timed, _process_build_stage, config_kwargs, name
                 ),
                 raise_on_error,
             )

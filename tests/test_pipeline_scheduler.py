@@ -1,7 +1,10 @@
 """Scheduler tests: parallel == serial, failure isolation, executors."""
 
 import dataclasses
+import math
 import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ import pytest
 from repro.core.experiment import Lab
 from repro.obs.manifest import build_manifest, clear_context
 from repro.pipeline.graph import StageGraph
-from repro.pipeline.scheduler import StageScheduler
+from repro.pipeline.scheduler import StageScheduler, _run_timed
 from repro.pipeline.stage import Stage, StageError
 from tests.conftest import MICRO_LAB_CONFIG
 
@@ -91,6 +94,65 @@ class TestFailureIsolation:
         lab = ToyLab(_toy_graph())
         with pytest.raises(StageError, match="artifact store"):
             StageScheduler(lab).run(["root"], executor="process")
+
+
+def _timing_graph(sleeps, failing=()):
+    """Independent root stages that sleep ``sleeps[name]`` seconds each."""
+
+    def build(name):
+        def _build(lab, inputs):
+            time.sleep(sleeps[name])
+            if name in failing:
+                raise RuntimeError(f"{name} exploded")
+            return name
+
+        return _build
+
+    graph = StageGraph([Stage(name=name, build=build(name)) for name in sleeps])
+    graph.validate()
+    return graph
+
+
+class TestStageTiming:
+    """``duration_s`` is run time inside the worker; queue wait is separate."""
+
+    def test_stage_queued_behind_a_slow_one_reports_its_wait(self):
+        # Ready stages are submitted alphabetically, so at jobs=1 the
+        # trivial "b-quick" waits in the pool's queue behind "a-slow".
+        lab = ToyLab(_timing_graph({"a-slow": 0.4, "b-quick": 0.0}))
+        results = StageScheduler(lab).run(["a-slow", "b-quick"], jobs=1)
+        quick, slow = results["b-quick"], results["a-slow"]
+        assert quick.duration_s < 0.1
+        assert quick.queue_wait_s >= 0.3
+        assert slow.duration_s >= 0.4
+        assert slow.queue_wait_s < 0.1
+
+    def test_failed_stage_reports_its_run_time(self):
+        lab = ToyLab(_timing_graph({"boom": 0.2}, failing={"boom"}))
+        results = StageScheduler(lab).run(
+            ["boom"], jobs=1, raise_on_error=False
+        )
+        assert results["boom"].status == "failed"
+        assert results["boom"].duration_s >= 0.2
+
+    def test_process_workers_report_run_time(self):
+        sleeps = {"a-slow": 0.4, "b-quick": 0.0, "c-fails": 0.0}
+        scheduler = StageScheduler(ToyLab(_timing_graph(sleeps)))
+
+        def submit(pool, name):
+            if name == "c-fails":
+                return pool.submit(_run_timed, math.sqrt, -1.0)
+            return pool.submit(_run_timed, time.sleep, sleeps[name])
+
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            results = scheduler._wave_run(
+                set(sleeps), set(sleeps), pool, submit, raise_on_error=False
+            )
+        assert results["a-slow"].duration_s >= 0.4
+        assert results["b-quick"].duration_s < 0.1
+        assert results["b-quick"].queue_wait_s >= 0.3
+        assert results["c-fails"].status == "failed"
+        assert results["c-fails"].queue_wait_s >= 0.3
 
 
 class TestDeterminism:
