@@ -134,7 +134,9 @@ def fine_tune(
     model = copy.deepcopy(pretrained)
     classifier = FineTunedClassifier(model)
     rng = derive_rng(config.seed, "fine-tune")
-    parameters = model.parameters()  # hoisted: traversal is per-call work
+    # The MLM head gets no gradient here; leaving it out of the optimiser
+    # changes no trained value (its Adam updates would all be zero).
+    parameters = model.classify_parameters()
     optimizer = Adam(parameters, lr=config.learning_rate)
 
     sequences = classifier._encode(train_triples)

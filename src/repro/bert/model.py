@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bert.wordpiece import WordPieceTokenizer
-from repro.nn.layers import Linear, Module
+from repro.nn.layers import Linear, Module, Parameter
 from repro.nn.transformer import TransformerConfig, TransformerEncoder
 from repro.utils.rng import stable_hash
 
@@ -95,8 +95,6 @@ class MiniBert(Module):
             self.config.d_model, self.config.n_classes, seed=seed, name="classifier"
         )
         self._cls_cache = None
-        self._hidden_shape: Optional[Tuple[int, ...]] = None
-        self._mlm_positions: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- batching ----------------------------------------------------------
 
@@ -107,65 +105,61 @@ class MiniBert(Module):
         ids, mask, _ = pad_all(sequences, self.tokenizer.pad_id, self.config.max_len)
         return ids, mask
 
-    # -- MLM path ------------------------------------------------------------
+    # -- trainable parameters ----------------------------------------------
 
-    def forward_mlm(self, ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Vocabulary logits for every position: ``(batch, seq, vocab)``."""
-        final, _ = self.encoder.forward(ids, mask)
-        self._hidden_shape = final.shape
-        self._mlm_positions = None
-        return self.mlm_head.forward(final)
+    def mlm_parameters(self) -> List[Parameter]:
+        """Parameters the MLM objective reaches: all but the classifier head."""
+        return self._parameters_except(self.pooler, self.classifier)
+
+    def classify_parameters(self) -> List[Parameter]:
+        """Parameters the classification objective reaches: all but the MLM head."""
+        return self._parameters_except(self.mlm_head)
+
+    def _parameters_except(self, *heads: Module) -> List[Parameter]:
+        skip = {id(p) for head in heads for p in head.parameters()}
+        return [p for p in self.parameters() if id(p) not in skip]
+
+    # -- MLM path ------------------------------------------------------------
 
     def forward_mlm_at(
         self, ids: np.ndarray, mask: np.ndarray, positions: Tuple[np.ndarray, np.ndarray]
     ) -> np.ndarray:
-        """Vocabulary logits only at ``positions`` (``(rows, cols)`` arrays).
+        """Vocabulary logits only at ``positions`` (``(rows, cols)`` arrays of
+        real tokens in row-major order, as :func:`numpy.nonzero` returns).
 
-        MLM loss touches ~15% of positions; projecting just those through
-        the vocabulary head computes the identical loss and gradients (the
-        other positions contribute zero to both) at a fraction of the cost.
-        The encoder still sees the full batch, so dropout draws are
-        unchanged relative to :meth:`forward_mlm`.
+        MLM loss touches ~15% of positions; the encoder's last block and the
+        vocabulary head run at just those, which computes the same loss and
+        gradients as scoring every position with the rest ignored.
         """
-        final, _ = self.encoder.forward(ids, mask)
-        self._hidden_shape = final.shape
-        self._mlm_positions = positions
-        return self.mlm_head.forward(final[positions])
+        final, _ = self.encoder.forward(ids, mask, positions)
+        return self.mlm_head.forward(final)
 
     def backward_mlm(self, grad_logits: np.ndarray) -> None:
-        grad_selected = self.mlm_head.backward(grad_logits)
-        if self._mlm_positions is None:
-            self.encoder.backward(grad_selected)
-            return
-        grad_hidden = np.zeros(self._hidden_shape)
-        grad_hidden[self._mlm_positions] = grad_selected
-        self.encoder.backward(grad_hidden)
+        self.encoder.backward(self.mlm_head.backward(grad_logits))
 
     # -- classification path ---------------------------------------------------
 
     def forward_classify(self, ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Class logits from the pooled ``[CLS]`` representation."""
-        final, _ = self.encoder.forward(ids, mask)
-        self._hidden_shape = final.shape
-        pooled_pre = self.pooler.forward(final[:, 0, :])
-        pooled = np.tanh(pooled_pre)
+        batch = ids.shape[0]
+        cls = (np.arange(batch), np.zeros(batch, dtype=np.int64))
+        final, _ = self.encoder.forward(ids, mask, cls)
+        pooled = np.tanh(self.pooler.forward(final))
         self._cls_cache = pooled
         return self.classifier.forward(pooled)
 
     def backward_classify(self, grad_logits: np.ndarray) -> None:
-        if self._cls_cache is None or self._hidden_shape is None:
+        if self._cls_cache is None:
             raise RuntimeError("backward_classify called before forward_classify")
         grad_pooled = self.classifier.backward(grad_logits)
         grad_pre = grad_pooled * (1.0 - self._cls_cache**2)  # tanh'
-        grad_cls = self.pooler.backward(grad_pre)
-        grad_hidden = np.zeros(self._hidden_shape)
-        grad_hidden[:, 0, :] = grad_cls
-        self.encoder.backward(grad_hidden)
+        self.encoder.backward(self.pooler.backward(grad_pre))
 
     # -- feature extraction ------------------------------------------------------
 
     def hidden_layers(self, ids: np.ndarray, mask: np.ndarray) -> List[np.ndarray]:
-        """All per-block hidden states (used for last-4-layer embeddings)."""
+        """All per-block hidden states (used for last-4-layer embeddings);
+        padding rows are zero."""
         _, layers = self.encoder.forward(ids, mask)
         return layers
 
@@ -173,13 +167,16 @@ class MiniBert(Module):
         """Sum of the ``[CLS]`` vectors over the last ``n_last_layers`` blocks.
 
         This is the paper's PubmedBERT entity representation (Section 2.3).
+        Runs in eval mode and restores the caller's mode afterwards.
         """
         ids = self.tokenizer.encode(words, max_len=self.config.max_len)
         batch_ids, batch_mask = self.pad_batch([ids])
         was_training = self.training
-        self.set_training(False)
+        if was_training:
+            self.set_training(False)
         layers = self.hidden_layers(batch_ids, batch_mask)
-        self.set_training(was_training)
+        if was_training:
+            self.set_training(True)
         take = min(n_last_layers, len(layers))
         return sum(layer[0, 0, :] for layer in layers[-take:])
 

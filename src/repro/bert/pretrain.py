@@ -94,7 +94,9 @@ def pretrain_mlm(
     config = config or PretrainConfig()
     model = MiniBert(tokenizer, bert_config)
     rng = derive_rng(config.seed, "mlm-pretrain")
-    parameters = model.parameters()  # hoisted: traversal is per-call work
+    # The classifier head gets no gradient here; leaving it out of the
+    # optimiser changes no trained value (its Adam updates would all be zero).
+    parameters = model.mlm_parameters()
     optimizer = Adam(parameters, lr=config.learning_rate)
 
     encoded = [
@@ -131,11 +133,10 @@ def pretrain_mlm(
                     ids, mask, tokenizer, config.mask_probability, rng,
                     maskable=all_maskable[rows, :width],
                 )
-                # Only ~15% of positions carry MLM loss; push just those
-                # through the vocabulary head.  Loss and gradients match the
-                # dense forward_mlm + ignore_index path exactly (row-major
-                # gather order equals the flat active order), at a fraction
-                # of the vocab-projection cost.
+                # Only ~15% of positions carry MLM loss; the last encoder
+                # block and the vocabulary head run at just those.  The
+                # forward runs even when none is selected, so the dropout
+                # streams advance exactly as on every other step.
                 positions = np.nonzero(labels != _IGNORE)
                 logits = model.forward_mlm_at(masked_ids, mask, positions)
                 sp.incr("steps")

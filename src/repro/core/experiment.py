@@ -225,9 +225,11 @@ class Lab:
         with self._lock_for(name):
             if name in self._cache:
                 return self._cache[name]
-            start = time.perf_counter()
             with span(f"lab.{name}") as sp:
                 inputs = {dep: self.materialize(dep) for dep in stage.deps}
+                # Timed from here so a stage's duration is its own build
+                # or load, never that of the dependencies it pulled in.
+                start = time.perf_counter()
                 if self.store is not None and stage.persistable:
                     key = self.stage_key(name)
                     artifact, status = self.store.build_or_load(

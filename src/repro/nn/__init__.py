@@ -13,6 +13,7 @@ from repro.nn.layers import (
     LayerNorm,
     Linear,
     Module,
+    Packing,
     Parameter,
 )
 from repro.nn.attention import MultiHeadSelfAttention
@@ -23,6 +24,7 @@ from repro.nn.optim import SGD, Adam, clip_gradients
 __all__ = [
     "Parameter",
     "Module",
+    "Packing",
     "Linear",
     "Embedding",
     "LayerNorm",

@@ -7,7 +7,7 @@ overwrites the cache (layers are single-use per step, as in a static graph).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,68 @@ class Parameter:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Parameter({self.name!r}, shape={self.value.shape})"
+
+
+class Packing:
+    """Where the rows of a packed ``(n, d)`` block sit in a ``(batch, seq)`` grid.
+
+    The padding-free encoder (:mod:`repro.nn.transformer`) keeps only the
+    real tokens of a batch as rows.  ``index`` holds each row's flat row-major grid position, ascending.
+    ``slots`` is each row's position in a ``(batch, width)`` grid that packs
+    every batch row's rows to the left; ``width`` is the most rows any batch
+    row has.  ``rows`` locates these rows inside a larger packed block (the
+    attention keys) when the packing is a subset of it, else it is ``None``.
+    """
+
+    def __init__(
+        self,
+        shape: Tuple[int, int],
+        index: np.ndarray,
+        rows: Optional[np.ndarray] = None,
+    ):
+        batch, seq = shape
+        self.shape = (batch, seq)
+        self.index = index
+        self.rows = rows
+        owner = index // seq
+        counts = np.bincount(owner, minlength=batch)
+        self.width = int(counts.max(initial=0))
+        first = np.cumsum(counts) - counts
+        self.slots = owner * self.width + np.arange(index.size) - first[owner]
+
+    @classmethod
+    def of_mask(cls, mask: np.ndarray) -> "Packing":
+        """The packing of every position where ``mask > 0``."""
+        return cls(mask.shape, np.flatnonzero(mask > 0))
+
+    def select(self, index: np.ndarray) -> "Packing":
+        """The packing of a subset of these rows, given by grid position.
+
+        ``index`` must be strictly increasing and name only rows held here.
+        """
+        index = np.asarray(index, dtype=np.int64)
+        rows = np.searchsorted(self.index, index)
+        if (
+            np.any(np.diff(index) <= 0)
+            or np.any(rows >= self.index.size)
+            or np.any(self.index[rows] != index)
+        ):
+            raise ValueError(
+                "selected positions must be real tokens in row-major order"
+            )
+        return Packing(self.shape, index, rows)
+
+    def take(self, x: np.ndarray) -> np.ndarray:
+        """These rows out of the larger block ``x`` they were selected from."""
+        return x if self.rows is None else x[self.rows]
+
+    def add_into(self, x: np.ndarray, part: np.ndarray) -> np.ndarray:
+        """``x`` (the larger block) plus ``part`` (these rows of it); may
+        update ``x`` in place."""
+        if self.rows is None:
+            return x + part
+        x[self.rows] += part
+        return x
 
 
 class Module:
@@ -158,7 +220,14 @@ class LayerNorm(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
+    """Inverted dropout; identity in eval mode.
+
+    For packed encoder rows, ``forward`` takes their :class:`Packing`: it
+    still draws the uniform block
+    for the whole ``(batch, seq, d)`` grid and keeps the entries at the
+    packed positions, so the random stream and every row's mask are the
+    same as for the padded grid.
+    """
 
     def __init__(self, p: float = 0.1, seed: SeedLike = 0, name: str = "dropout"):
         super().__init__()
@@ -168,11 +237,17 @@ class Dropout(Module):
         self._rng = derive_rng(seed, "dropout", name)
         self._mask: Optional[np.ndarray] = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, packing: Optional[Packing] = None) -> np.ndarray:
         if not self.training or self.p == 0.0:
             self._mask = None
             return x
-        self._mask = (self._rng.random(x.shape) >= self.p) / (1.0 - self.p)
+        if packing is None:
+            draw = self._rng.random(x.shape)
+        else:
+            batch, seq = packing.shape
+            draw = self._rng.random((batch, seq, x.shape[-1]))
+            draw = draw.reshape(batch * seq, -1)[packing.index]
+        self._mask = (draw >= self.p) / (1.0 - self.p)
         return x * self._mask
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -210,6 +285,7 @@ class GELU(Module):
 
 
 __all__ = [
+    "Packing",
     "Parameter",
     "Module",
     "Linear",

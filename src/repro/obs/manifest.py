@@ -82,18 +82,28 @@ def record_stage_event(
     (built and persisted) or ``"built"`` (built in memory, no store).  The
     run's manifests then show exactly which substrates were rebuilt versus
     reused — the warm-run assertion CI makes.  Repeat events for one stage
-    (several Labs in one process) keep the latest status and a count.
+    (several Labs in one process) keep the latest status and a count, and
+    the queue wait :func:`record_stage_queue_wait` recorded.
     """
     with _context_lock:
         stages = _run_context.setdefault("stages", {})
-        entry = stages.get(stage)
-        record = {
+        entry = stages.get(stage) or {}
+        stages[stage] = {
             "status": status,
             "key": key,
             "duration_s": duration_s,
-            "count": (entry["count"] + 1) if entry else 1,
+            "queue_wait_s": entry.get("queue_wait_s"),
+            "count": entry.get("count", 0) + 1,
         }
-        stages[stage] = record
+
+
+def record_stage_queue_wait(stage: str, queue_wait_s: float) -> None:
+    """Record how long a scheduled stage waited for a pool worker (and for
+    hand-back) on top of its ``duration_s``; see
+    :class:`~repro.pipeline.scheduler.StageResult`."""
+    with _context_lock:
+        stages = _run_context.setdefault("stages", {})
+        stages.setdefault(stage, {})["queue_wait_s"] = queue_wait_s
 
 
 #: Named callables contributing extra hotspot sub-sections (e.g. the
@@ -328,6 +338,7 @@ __all__ = [
     "set_context",
     "record_config",
     "record_stage_event",
+    "record_stage_queue_wait",
     "clear_context",
     "environment_info",
     "register_section_provider",

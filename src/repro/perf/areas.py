@@ -2,7 +2,7 @@
 
 Each :class:`PerfArea` wraps one library hot path (OBO parsing, WordPiece
 training, GloVe co-occurrence counting, SGNS updates, a mini-BERT MLM
-pretraining pass, random-forest fitting, simulated-ICL delivery, artifact
+pretraining pass, mini-BERT fine-tuning, random-forest fitting, simulated-ICL delivery, artifact
 store round-trips) in a :class:`~repro.perf.harness.Benchmark` with a fixed,
 seeded workload, so its timing is comparable run-over-run and a committed
 ``BENCH_<area>.json`` baseline can gate regressions.
@@ -246,6 +246,80 @@ def _bert_pretrain_step() -> Tuple[Benchmark, dict]:
     return Benchmark("bert_pretrain_step", run, setup=setup), params
 
 
+def _bert_finetune() -> Tuple[Benchmark, dict]:
+    """Fine-tuning at the bench cell's shape: the bench lab's mini-BERT
+    (d_model 64, 4 layers, 4 heads, d_ff 128), batch 32, on triples whose
+    WordPiece lengths vary like real ones (about 40% of each padded batch
+    is padding).  The checksum is the rounded held-out probabilities.
+    """
+    from repro.bert.finetune import FineTuneConfig, fine_tune
+    from repro.bert.model import BertConfig, MiniBert
+    from repro.bert.wordpiece import train_wordpiece
+    from repro.core.triples import LabeledTriple
+    from repro.ontology.relations import IS_A
+
+    params = {
+        "n_train": 128,
+        "n_test": 64,
+        "corpus_vocab": 120,
+        "vocab_size": 400,
+        "d_model": 64,
+        "n_layers": 4,
+        "n_heads": 4,
+        "d_ff": 128,
+        "epochs": 3,
+        "batch_size": 32,
+        "seed": WORKLOAD_SEED,
+    }
+
+    def setup() -> dict:
+        sentences = _corpus(200, 12, params["corpus_vocab"])
+        tokenizer = train_wordpiece(
+            sentences, vocab_size=params["vocab_size"], min_pair_frequency=2
+        )
+        words = sorted({word for sentence in sentences for word in sentence})
+        rng = derive_rng(params["seed"], "perf-bert-finetune")
+
+        def name(p: float, most: int) -> np.ndarray:
+            """Word ids of one name: geometric length, so most names are short
+            and a few long, like ChEBI names."""
+            size = min(int(rng.geometric(p)), most)
+            return rng.integers(0, len(words), size=size)
+
+        triples = []
+        for i in range(params["n_train"] + params["n_test"]):
+            subject, obj = name(0.3, 12), name(0.6, 4)
+            triples.append(LabeledTriple(
+                f"s{i}", " ".join(words[int(w)] for w in subject), IS_A,
+                f"o{i}", " ".join(words[int(w)] for w in obj),
+                int(subject[0] < len(words) // 2),
+            ))
+        model = MiniBert(tokenizer, BertConfig(
+            d_model=params["d_model"],
+            n_heads=params["n_heads"],
+            n_layers=params["n_layers"],
+            d_ff=params["d_ff"],
+            seed=params["seed"],
+        ))
+        train = params["n_train"]
+        return {"model": model, "train": triples[:train], "test": triples[train:]}
+
+    def run(state: object) -> object:
+        classifier = fine_tune(
+            state["model"],
+            state["train"],
+            FineTuneConfig(
+                epochs=params["epochs"],
+                batch_size=params["batch_size"],
+                learning_rate=1e-3,
+                seed=params["seed"],
+            ),
+        )
+        return np.round(classifier.predict_proba(state["test"]), 6).tolist()
+
+    return Benchmark("bert_finetune", run, setup=setup), params
+
+
 def _rf_fit() -> Tuple[Benchmark, dict]:
     """One bench-cell forest: a 3 x 64 triple feature vector, 30 trees, depth 16.
 
@@ -463,6 +537,7 @@ AREAS: Tuple[PerfArea, ...] = (
     PerfArea("glove_cooccur", "GloVe co-occurrence counting", _glove_cooccur),
     PerfArea("word2vec_neg", "SGNS negative-sampling training", _word2vec_neg),
     PerfArea("bert_pretrain_step", "mini-BERT MLM pretraining pass", _bert_pretrain_step),
+    PerfArea("bert_finetune", "mini-BERT triple fine-tuning", _bert_finetune),
     PerfArea("rf_fit", "random-forest fitting", _rf_fit),
     PerfArea("icl_delivery", "simulated ICL prompt delivery", _icl_delivery),
     PerfArea("store_roundtrip", "artifact store put/load round-trip", _store_roundtrip),

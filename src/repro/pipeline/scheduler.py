@@ -42,6 +42,7 @@ from concurrent.futures import FIRST_COMPLETED, Executor, wait
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
+from repro.obs.manifest import record_stage_queue_wait
 from repro.obs.trace import get_tracer, span
 from repro.pipeline.stage import StageError
 
@@ -208,6 +209,7 @@ class StageScheduler:
                     else getattr(error, "stage_run_s", elapsed)
                 )
                 queue_wait = max(0.0, elapsed - duration)
+                record_stage_queue_wait(name, queue_wait)
                 if error is None:
                     done.add(name)
                     results[name] = StageResult(

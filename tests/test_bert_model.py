@@ -1,5 +1,7 @@
 """Tests for mini-BERT: model, MLM pretraining, fine-tuning."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,14 @@ class TestMiniBert:
         b = pretrained.cls_embedding(["alpha", "beta"])
         assert a.shape == (TINY.d_model,)
         assert np.allclose(a, b)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_cls_embedding_restores_training_mode(self, pretrained, training):
+        model = copy.deepcopy(pretrained)
+        model.set_training(training)
+        model.cls_embedding(["alpha", "beta"])
+        assert model.training is training
+        assert model.encoder.blocks[0].drop1.training is training
 
     def test_cls_embedding_differs_by_input(self, pretrained):
         a = pretrained.cls_embedding(["alpha"])

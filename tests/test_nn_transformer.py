@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.attention import MultiHeadSelfAttention
-from repro.nn.layers import Linear
+from repro.nn.layers import Linear, Packing
 from repro.nn.losses import softmax_cross_entropy
 from repro.nn.optim import SGD, Adam, clip_gradients
 from repro.nn.transformer import TransformerConfig, TransformerEncoder
@@ -13,8 +13,9 @@ from repro.nn.transformer import TransformerConfig, TransformerEncoder
 class TestAttention:
     def test_output_shape(self):
         attn = MultiHeadSelfAttention(8, 2, seed=1)
-        out = attn.forward(np.random.default_rng(0).normal(size=(2, 5, 8)))
-        assert out.shape == (2, 5, 8)
+        x = np.random.default_rng(0).normal(size=(10, 8))  # 2 rows x 5 tokens
+        out = attn.forward(x, Packing.of_mask(np.ones((2, 5))))
+        assert out.shape == (10, 8)
 
     def test_d_model_divisibility(self):
         with pytest.raises(ValueError):
@@ -23,14 +24,12 @@ class TestAttention:
     def test_padding_mask_blocks_keys(self):
         attn = MultiHeadSelfAttention(8, 2, seed=1)
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(1, 4, 8))
+        x = rng.normal(size=(2, 8))  # the two real tokens of one row
+        out_unpadded = attn.forward(x, Packing.of_mask(np.array([[1.0, 1.0]])))
+        # Padding positions on the grid must not change the real outputs.
         mask = np.array([[1.0, 1.0, 0.0, 0.0]])
-        out_masked = attn.forward(x, mask)
-        # Changing a masked position must not change unmasked outputs.
-        x2 = x.copy()
-        x2[0, 3] += 10.0
-        out_changed = attn.forward(x2, mask)
-        assert np.allclose(out_masked[0, :2], out_changed[0, :2])
+        out_padded = attn.forward(x, Packing.of_mask(mask))
+        assert np.allclose(out_unpadded, out_padded)
 
 
 class TestTransformerGradients:

@@ -11,6 +11,7 @@ EXPECTED_AREAS = (
     "glove_cooccur",
     "word2vec_neg",
     "bert_pretrain_step",
+    "bert_finetune",
     "rf_fit",
     "icl_delivery",
     "store_roundtrip",
@@ -18,9 +19,9 @@ EXPECTED_AREAS = (
 
 
 class TestRegistry:
-    def test_the_eight_areas_are_registered(self):
+    def test_the_nine_areas_are_registered(self):
         assert area_names() == list(EXPECTED_AREAS)
-        assert len(AREAS) == 8
+        assert len(AREAS) == 9
 
     def test_every_area_has_a_title(self):
         assert all(area.title for area in AREAS)

@@ -216,6 +216,41 @@ class TestDeterminism:
         assert stages["embedding-Random"]["status"] == "built"
 
 
+class TestManifestStageTiming:
+    """A stage's manifest duration is its own build, whoever triggers it."""
+
+    @pytest.fixture
+    def lab(self):
+        def slow(lab, inputs):
+            time.sleep(0.3)
+            return 1
+
+        graph = StageGraph()
+        graph.register(Stage(name="slow", build=slow))
+        graph.register(
+            Stage(name="fast", build=lambda lab, inputs: inputs["slow"] + 1,
+                  deps=("slow",))
+        )
+        lab = Lab(MICRO_LAB_CONFIG)
+        lab.graph = graph
+        clear_context()
+        return lab
+
+    def test_direct_call_charges_dependency_to_dependency(self, lab):
+        assert lab.materialize("fast") == 2
+        stages = build_manifest()["context"]["stages"]
+        assert stages["slow"]["duration_s"] >= 0.3
+        assert stages["fast"]["duration_s"] < 0.1
+
+    def test_scheduler_records_queue_wait(self, lab):
+        results = lab.warm(targets=["fast"], jobs=1)
+        stages = build_manifest()["context"]["stages"]
+        for name in ("slow", "fast"):
+            assert stages[name]["queue_wait_s"] == results[name].queue_wait_s
+            assert stages[name]["status"] == "built"
+        assert stages["fast"]["duration_s"] < 0.1
+
+
 class TestSpanAttribution:
     """Worker spans must nest under the scheduler-run span, not float off
     as roots, whichever executor ran them."""
