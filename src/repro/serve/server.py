@@ -4,8 +4,9 @@ A :class:`ThreadingHTTPServer` whose handler translates between the wire
 schemas (:mod:`repro.serve.schemas`) and :class:`CurationService`:
 
 * ``POST /v1/classify`` — classify one triple or a batch; 400 on schema
-  errors, 404 on unknown backends, 503 + ``Retry-After`` when the request
-  was shed, 500 (counted) on anything else.
+  errors, 413 on a body above :data:`MAX_BODY_BYTES`, 404 on unknown
+  backends, 503 + ``Retry-After`` when the request was shed, 500 (counted)
+  on anything else.
 * ``GET /healthz`` — liveness + the backend lineup.
 * ``GET /statz`` — request/shed/latency counters and per-backend breaker
   and batcher snapshots.
@@ -14,6 +15,22 @@ schemas (:mod:`repro.serve.schemas`) and :class:`CurationService`:
 alive, which is what lets the bench harness drive hundreds of clients over
 persistent connections.  Access logging is silenced: request accounting
 lives in ``/statz`` and the obs counters, not a text log.
+
+Each response leaves in one write, and every accepted socket has
+``TCP_NODELAY`` set.  The handler's writer is buffered, so the status line,
+headers and body reach the socket together when ``handle_one_request``
+flushes.  Sent as two small writes on a keep-alive connection, Nagle's
+algorithm holds the body until the client ACKs the headers, and the
+client delays that ACK by ~40 ms: a floor under every response after the
+first.  ``/statz`` cannot see it, because it times only
+``CurationService.classify``.  ``TCP_NODELAY`` keeps a response larger
+than the write buffer, which leaves in more than one write, from stalling
+the same way.
+
+A request whose body cannot be framed, because its ``Content-Length`` is
+malformed (400) or above :data:`MAX_BODY_BYTES` (413), is answered with
+``Connection: close`` and the connection is closed: the unread bytes must
+never be parsed as the next request.
 """
 
 from __future__ import annotations
@@ -36,16 +53,35 @@ from repro.serve.service import CurationService, ShedError
 MAX_BODY_BYTES = 1 << 20
 
 
+class UnframedBodyError(SchemaError):
+    """The request body cannot be read off the stream; the connection closes."""
+
+    def __init__(self, message: str, status: int = 400):
+        super().__init__(message)
+        self.status = status
+
+
 class CurationRequestHandler(BaseHTTPRequestHandler):
     """Routes HTTP requests onto the owning server's ``service``."""
 
     protocol_version = "HTTP/1.1"
     server: "CurationHTTPServer"
+    #: Buffer the writer so each response leaves in one write, and send it
+    #: without waiting on Nagle (see the module docstring).
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------------
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
+
+    def handle_expect_100(self) -> bool:
+        # The client waits for ``100 Continue`` before it sends the body, so
+        # the interim response cannot sit in the buffered writer.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
 
     def _send_json(self, status: int, payload: dict, headers=()) -> None:
         body = render_json(payload).encode("utf-8")
@@ -58,11 +94,15 @@ class CurationRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            raise UnframedBodyError(f"malformed Content-Length {declared!r}")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
-            raise SchemaError(
+            raise UnframedBodyError(
                 f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte cap"
+                f"{MAX_BODY_BYTES}-byte cap",
+                status=413,
             )
         return self.rfile.read(length)
 
@@ -86,6 +126,12 @@ class CurationRequestHandler(BaseHTTPRequestHandler):
             request = parse_classify_request(self._read_body())
             backend, labels, batch_size = service.classify(
                 request.backend, request.triples
+            )
+        except UnframedBodyError as error:
+            self._send_json(
+                error.status,
+                error_response(error.status, str(error)),
+                headers=(("Connection", "close"),),
             )
         except SchemaError as error:
             self._send_json(400, error_response(400, str(error)))
