@@ -18,6 +18,8 @@ filter, exactly like the naive adaptation.
 
 from __future__ import annotations
 
+import threading
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -28,8 +30,15 @@ from scipy import stats
 from repro.adaptation.dbscan import NOISE, dbscan, pairwise_distances
 from repro.core.triples import LabeledTriple
 from repro.embeddings.base import EmbeddingModel
+from repro.obs.trace import Span, get_tracer
 from repro.text.tokenizer import ChemTokenizer
 from repro.utils.rng import SeedLike, derive_rng
+
+#: Start of scipy's warning for a t-test on (near-)constant samples.
+_PRECISION_LOSS = "Precision loss occurred in moment calculation"
+#: ``warnings.catch_warnings`` swaps process-wide state, so task-filter
+#: stages running on a thread pool must not interleave it.
+_WARNINGS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -79,25 +88,78 @@ def head_tail_token_frequencies(
     return counter
 
 
-def _distance_variance(matrix: np.ndarray) -> float:
-    """Variance of pairwise Euclidean distances between matrix rows."""
-    distances = pairwise_distances(matrix)
-    upper = distances[np.triu_indices(distances.shape[0], k=1)]
-    return float(np.var(upper))
+def _distance_variance(
+    matrix: np.ndarray, upper: Tuple[np.ndarray, np.ndarray]
+) -> float:
+    """Variance of pairwise Euclidean distances between matrix rows;
+    ``upper`` is ``np.triu_indices(len(matrix), k=1)``."""
+    return float(np.var(pairwise_distances(matrix)[upper]))
 
 
-def _entity_centroids(
-    entity_tokens: List[List[str]],
-    embeddings: EmbeddingModel,
-    exclude: Set[str],
-) -> np.ndarray:
-    rows = []
-    for tokens in entity_tokens:
-        kept = [t for t in tokens if t not in exclude]
-        if not kept:
-            kept = tokens
-        rows.append(embeddings.mean_vector(kept))
-    return np.stack(rows)
+def _centroids(table: np.ndarray, ids: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Mean of the kept token vectors of each padded index row.
+
+    Rows are accumulated position by position and divided by the kept
+    count, the same sequence of float operations as ``mean(axis=0)`` over
+    each entity's stacked kept vectors, so the centroids are bit-identical
+    to per-entity :meth:`~repro.embeddings.base.EmbeddingModel.mean_vector`
+    calls.  Every row must keep at least one token.
+    """
+    total = np.zeros((ids.shape[0], table.shape[1]))
+    for position in range(ids.shape[1]):
+        rows = kept[:, position]
+        total[rows] += table[ids[rows, position]]
+    return total / kept.sum(axis=1)[:, None]
+
+
+def _welch_p_value(
+    baseline: List[float], ablated: List[float], stage_span: Optional[Span]
+) -> float:
+    """Welch's t-test p-value of ``baseline`` vs ``ablated``.
+
+    When every iteration samples the same entities (fewer unique entities
+    than ``n_entities``), both lists are constant up to float residue and
+    scipy warns of catastrophic cancellation.  That warning, and only that
+    one, is caught here and counted as ``adaptation.degenerate_sampling``
+    on the enclosing span; the p-value is returned unchanged.
+    """
+    with _WARNINGS_LOCK, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, p_value = stats.ttest_ind(baseline, ablated, equal_var=False)
+    degenerate = False
+    for warning in caught:
+        if issubclass(warning.category, RuntimeWarning) and str(
+            warning.message
+        ).startswith(_PRECISION_LOSS):
+            degenerate = True
+        else:
+            warnings.warn_explicit(
+                warning.message, warning.category, warning.filename,
+                warning.lineno, source=warning.source,
+            )
+    if degenerate and stage_span is not None:
+        stage_span.incr("adaptation.degenerate_sampling")
+    return float(p_value)
+
+
+@dataclass(frozen=True)
+class StopTokenAnalysis:
+    """What one run of Algorithm 2 measured and decided.
+
+    Attributes:
+        clusters: DBSCAN cluster id -> its tokens, in discovery order.
+        baseline_vars: cluster id -> per-iteration distance variance of the
+            sampled entities' centroids (the same list for every cluster).
+        ablated_vars: cluster id -> per-iteration variance with the
+            cluster's tokens removed from every centroid.
+        stop_tokens: tokens of the clusters whose removal changed the
+            variance significantly.
+    """
+
+    clusters: Dict[int, List[str]]
+    baseline_vars: Dict[int, List[float]]
+    ablated_vars: Dict[int, List[float]]
+    stop_tokens: Set[str]
 
 
 def select_stop_tokens(
@@ -111,6 +173,24 @@ def select_stop_tokens(
     Phrase-level embedding models have no per-token vectors to cluster;
     the paper accordingly applies no token selection to PubmedBERT
     embeddings (Tables 3a/A7 dashes), and this function raises for them.
+    """
+    return analyse_stop_tokens(positives, embeddings, config, tokenizer).stop_tokens
+
+
+def analyse_stop_tokens(
+    positives: Sequence[LabeledTriple],
+    embeddings: EmbeddingModel,
+    config: Optional[TaskOrientedConfig] = None,
+    tokenizer: Optional[ChemTokenizer] = None,
+) -> StopTokenAnalysis:
+    """Run Algorithm 2 and return its clusters, variance lists and stop words.
+
+    Each distinct entity token's vector is looked up once and every entity
+    becomes a padded row of indices into that table.  An entity's centroid
+    does not depend on the iteration that samples it, so the base centroids
+    and each cluster's ablated centroids are computed once for all entities
+    and each iteration takes its sampled rows.  An entity whose every token
+    is in the ablated cluster keeps its base centroid.
     """
     if embeddings.phrase_level:
         raise ValueError(
@@ -131,8 +211,11 @@ def select_stop_tokens(
     for token, label in zip(top_tokens, labels):
         if label != NOISE:
             clusters.setdefault(int(label), []).append(token)
+    baseline_vars: Dict[int, List[float]] = {c: [] for c in clusters}
+    ablated_vars: Dict[int, List[float]] = {c: [] for c in clusters}
+    no_stop_tokens = StopTokenAnalysis(clusters, baseline_vars, ablated_vars, set())
     if not clusters:
-        return set()
+        return no_stop_tokens
 
     # Unique head/tail entities of positive triples, pre-tokenised once.
     entity_names: Dict[str, List[str]] = {}
@@ -144,31 +227,50 @@ def select_stop_tokens(
                     entity_names[name] = tokens
     all_entities = list(entity_names.values())
     if len(all_entities) < 3:
-        return set()
+        return no_stop_tokens
     n_sample = min(config.n_entities, len(all_entities))
 
-    baseline_vars: Dict[int, List[float]] = {c: [] for c in clusters}
-    ablated_vars: Dict[int, List[float]] = {c: [] for c in clusters}
-    for _ in range(config.n_iterations):
-        chosen = rng.choice(len(all_entities), size=n_sample, replace=False)
-        sample = [all_entities[int(i)] for i in chosen]
-        base_matrix = _entity_centroids(sample, embeddings, exclude=set())
-        base_var = _distance_variance(base_matrix)
-        for cluster_id, tokens in clusters.items():
-            ablated = _entity_centroids(sample, embeddings, exclude=set(tokens))
-            baseline_vars[cluster_id].append(base_var)
-            ablated_vars[cluster_id].append(_distance_variance(ablated))
+    token_ids: Dict[str, int] = {}
+    for tokens in all_entities:
+        for token in tokens:
+            token_ids.setdefault(token, len(token_ids))
+    table = np.stack([embeddings.vector(token) for token in token_ids])
+    width = max(len(tokens) for tokens in all_entities)
+    ids = np.zeros((len(all_entities), width), dtype=np.int64)
+    real = np.zeros((len(all_entities), width), dtype=bool)
+    for row, tokens in enumerate(all_entities):
+        ids[row, : len(tokens)] = [token_ids[token] for token in tokens]
+        real[row, : len(tokens)] = True
+    base = _centroids(table, ids, real)
 
+    samples = [
+        rng.choice(len(all_entities), size=n_sample, replace=False)
+        for _ in range(config.n_iterations)
+    ]
+    upper = np.triu_indices(n_sample, k=1)
+    base_vars = [_distance_variance(base[chosen], upper) for chosen in samples]
+    for cluster_id, tokens in clusters.items():
+        in_cluster = real & np.isin(ids, [token_ids[t] for t in tokens])
+        kept = real & ~in_cluster
+        changed = in_cluster.any(axis=1) & kept.any(axis=1)
+        ablated = base.copy()
+        ablated[changed] = _centroids(table, ids[changed], kept[changed])
+        baseline_vars[cluster_id].extend(base_vars)
+        ablated_vars[cluster_id].extend(
+            _distance_variance(ablated[chosen], upper) for chosen in samples
+        )
+
+    stage_span = get_tracer().current_span()
     stop_tokens: Set[str] = set()
     for cluster_id, tokens in clusters.items():
-        base = baseline_vars[cluster_id]
-        ablated = ablated_vars[cluster_id]
-        if np.allclose(base, ablated):
+        baseline = baseline_vars[cluster_id]
+        ablated_list = ablated_vars[cluster_id]
+        if np.allclose(baseline, ablated_list):
             continue  # removing the cluster changed nothing
-        _, p_value = stats.ttest_ind(base, ablated, equal_var=False)
+        p_value = _welch_p_value(baseline, ablated_list, stage_span)
         if np.isfinite(p_value) and p_value <= config.p_threshold:
             stop_tokens.update(tokens)
-    return stop_tokens
+    return StopTokenAnalysis(clusters, baseline_vars, ablated_vars, stop_tokens)
 
 
 def stopword_filter(stop_tokens: Set[str]) -> Callable[[List[str]], List[str]]:
@@ -191,7 +293,9 @@ def task_oriented_filter(
 
 
 __all__ = [
+    "StopTokenAnalysis",
     "TaskOrientedConfig",
+    "analyse_stop_tokens",
     "head_tail_token_frequencies",
     "select_stop_tokens",
     "stopword_filter",

@@ -10,6 +10,7 @@ the reference implementation.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -144,6 +145,39 @@ def _word_to_symbols(word: str) -> Tuple[str, ...]:
     return tuple([word[0]] + ["##" + c for c in word[1:]])
 
 
+def _merge_pair(
+    symbols: Tuple[str, ...], a: str, b: str, piece: str
+) -> Tuple[str, ...]:
+    """Replace each ``(a, b)`` occurrence with ``piece``, scanning left to
+    right without overlaps (``a a a`` merges its first two symbols)."""
+    merged: List[str] = []
+    index = 0
+    while index < len(symbols):
+        if (
+            index + 1 < len(symbols)
+            and symbols[index] == a
+            and symbols[index + 1] == b
+        ):
+            merged.append(piece)
+            index += 2
+        else:
+            merged.append(symbols[index])
+            index += 1
+    return tuple(merged)
+
+
+class _Descending:
+    """Heap key that orders pairs largest first (``heapq`` pops the least)."""
+
+    __slots__ = ("pair",)
+
+    def __init__(self, pair: Tuple[str, str]):
+        self.pair = pair
+
+    def __lt__(self, other: "_Descending") -> bool:
+        return self.pair > other.pair
+
+
 def train_wordpiece(
     sentences: Iterable[Sequence[str]],
     vocab_size: int = 1_000,
@@ -152,7 +186,11 @@ def train_wordpiece(
     """Train a WordPiece vocabulary by iterative pair merging.
 
     ``vocab_size`` bounds the total vocabulary including the five special
-    tokens and the initial character pieces.
+    tokens and the initial character pieces.  Each step merges the pair
+    with the highest ``(count, pair)``.  Pair counts and a pair -> words
+    index are kept up to date for just the words a merge touches, and a
+    lazily pruned max-heap finds the next pair, so a step costs the words
+    it rewrites rather than a recount of the whole corpus.
     """
     if vocab_size < len(SPECIAL_TOKENS) + 10:
         raise ValueError("vocab_size too small to be useful")
@@ -170,41 +208,51 @@ def train_wordpiece(
     for symbols in segmentations.values():
         vocab.update(symbols)
 
-    def merged_piece(a: str, b: str) -> str:
-        return a + (b[2:] if b.startswith("##") else b)
+    pair_counts: Dict[Tuple[str, str], int] = {}
+    pair_words: Dict[Tuple[str, str], Dict[str, None]] = {}
+    for word, symbols in segmentations.items():
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] = pair_counts.get(pair, 0) + word_freq[word]
+            pair_words.setdefault(pair, {})[word] = None
+    heap = [(-count, _Descending(pair)) for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
 
     while len(vocab) < vocab_size:
-        pair_freq: Counter = Counter()
-        for word, symbols in segmentations.items():
-            freq = word_freq[word]
-            for a, b in zip(symbols, symbols[1:]):
-                pair_freq[(a, b)] += freq
-        if not pair_freq:
+        while heap and pair_counts.get(heap[0][1].pair) != -heap[0][0]:
+            heapq.heappop(heap)  # stale: the pair's count has changed since
+        if not heap:
             break
-        (best_a, best_b), best_count = max(
-            pair_freq.items(), key=lambda kv: (kv[1], kv[0])
-        )
+        best_count, (best_a, best_b) = -heap[0][0], heap[0][1].pair
         if best_count < min_pair_frequency:
             break
-        new_piece = merged_piece(best_a, best_b)
+        new_piece = best_a + (best_b[2:] if best_b.startswith("##") else best_b)
         vocab.add(new_piece)
-        for word, symbols in segmentations.items():
-            if best_a not in symbols:
+        deltas: Dict[Tuple[str, str], int] = {}
+        for word in list(pair_words[(best_a, best_b)]):
+            old = segmentations[word]
+            new = _merge_pair(old, best_a, best_b, new_piece)
+            segmentations[word] = new
+            freq = word_freq[word]
+            old_pairs = list(zip(old, old[1:]))
+            new_pairs = list(zip(new, new[1:]))
+            for pair in old_pairs:
+                deltas[pair] = deltas.get(pair, 0) - freq
+            for pair in new_pairs:
+                deltas[pair] = deltas.get(pair, 0) + freq
+            for pair in set(old_pairs).difference(new_pairs):
+                del pair_words[pair][word]
+            for pair in new_pairs:
+                pair_words.setdefault(pair, {})[word] = None
+        for pair, delta in deltas.items():
+            if delta == 0:
                 continue
-            merged: List[str] = []
-            index = 0
-            while index < len(symbols):
-                if (
-                    index + 1 < len(symbols)
-                    and symbols[index] == best_a
-                    and symbols[index + 1] == best_b
-                ):
-                    merged.append(new_piece)
-                    index += 2
-                else:
-                    merged.append(symbols[index])
-                    index += 1
-            segmentations[word] = tuple(merged)
+            count = pair_counts.get(pair, 0) + delta
+            if count > 0:
+                pair_counts[pair] = count
+                heapq.heappush(heap, (-count, _Descending(pair)))
+            else:
+                del pair_counts[pair]
+                del pair_words[pair]
 
     ordered = list(SPECIAL_TOKENS) + sorted(vocab - set(SPECIAL_TOKENS))
     return WordPieceTokenizer(ordered)

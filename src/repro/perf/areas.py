@@ -2,10 +2,11 @@
 
 Each :class:`PerfArea` wraps one library hot path (OBO parsing, WordPiece
 training, GloVe co-occurrence counting, SGNS updates, a mini-BERT MLM
-pretraining pass, mini-BERT fine-tuning, random-forest fitting, simulated-ICL delivery, artifact
-store round-trips) in a :class:`~repro.perf.harness.Benchmark` with a fixed,
-seeded workload, so its timing is comparable run-over-run and a committed
-``BENCH_<area>.json`` baseline can gate regressions.
+pretraining pass, mini-BERT fine-tuning, Algorithm 2 stop-token selection,
+random-forest fitting, simulated-ICL delivery, artifact store round-trips)
+in a :class:`~repro.perf.harness.Benchmark` with a fixed, seeded workload,
+so its timing is comparable run-over-run and a committed ``BENCH_<area>.json``
+baseline can gate regressions.
 
 Workload sizes are deliberately small (each repeat well under a second on a
 laptop) so the full registry can run in CI; ``--quick`` shrinks only the
@@ -320,6 +321,72 @@ def _bert_finetune() -> Tuple[Benchmark, dict]:
     return Benchmark("bert_finetune", run, setup=setup), params
 
 
+def _stop_tokens() -> Tuple[Benchmark, dict]:
+    """Algorithm 2 at the bench lab's shape: the positives of a 2,000-entity
+    ontology, a 64-dimensional fastText model with 20k n-gram buckets, and
+    the :class:`TaskOrientedConfig` defaults (300 sampled entities, 10
+    iterations).  The table is seeded noise rather than trained vectors,
+    so set-up stays cheap.  The checksum covers the sorted stop set and
+    every variance list.
+    """
+    from repro.adaptation.task_oriented import (
+        TaskOrientedConfig,
+        analyse_stop_tokens,
+    )
+    from repro.core.tasks import positive_triples
+    from repro.embeddings.fasttext import FastText, FastTextConfig
+    from repro.ontology.synthesis import SynthesisConfig, synthesize_chebi_like
+    from repro.text.tokenizer import ChemTokenizer
+    from repro.text.vocab import build_vocabulary
+
+    params = {
+        "n_chemical_entities": 2_000,
+        "ontology_seed": 7,
+        "dim": 64,
+        "bucket": 20_000,
+        "min_count": 2,
+        "n_entities": TaskOrientedConfig().n_entities,
+        "n_iterations": TaskOrientedConfig().n_iterations,
+        "seed": WORKLOAD_SEED,
+    }
+
+    def setup() -> dict:
+        positives = positive_triples(synthesize_chebi_like(SynthesisConfig(
+            n_chemical_entities=params["n_chemical_entities"],
+            seed=params["ontology_seed"],
+        )))
+        tokenizer = ChemTokenizer()
+        names = [
+            tokenizer(t.subject_name) + tokenizer(t.object_name) for t in positives
+        ]
+        config = FastTextConfig(
+            dim=params["dim"], bucket=params["bucket"], min_count=params["min_count"]
+        )
+        vocabulary = build_vocabulary(names, min_count=config.min_count)
+        rng = derive_rng(params["seed"], "perf-stop-tokens")
+        table = rng.normal(
+            0.0, 0.1, size=(len(vocabulary) + config.bucket, config.dim)
+        )
+        return {"positives": positives, "vocabulary": vocabulary,
+                "table": table, "config": config}
+
+    def run(state: object) -> object:
+        # A fresh model each repeat: a cold build meets empty subword caches.
+        model = FastText(
+            state["vocabulary"], state["table"], state["config"], name="BioWordVec"
+        )
+        analysis = analyse_stop_tokens(
+            state["positives"], model, TaskOrientedConfig(seed=params["seed"])
+        )
+        return (
+            sorted(analysis.stop_tokens),
+            [np.round(v, 12).tolist() for v in analysis.baseline_vars.values()],
+            [np.round(v, 12).tolist() for v in analysis.ablated_vars.values()],
+        )
+
+    return Benchmark("stop_tokens", run, setup=setup), params
+
+
 def _rf_fit() -> Tuple[Benchmark, dict]:
     """One bench-cell forest: a 3 x 64 triple feature vector, 30 trees, depth 16.
 
@@ -538,6 +605,7 @@ AREAS: Tuple[PerfArea, ...] = (
     PerfArea("word2vec_neg", "SGNS negative-sampling training", _word2vec_neg),
     PerfArea("bert_pretrain_step", "mini-BERT MLM pretraining pass", _bert_pretrain_step),
     PerfArea("bert_finetune", "mini-BERT triple fine-tuning", _bert_finetune),
+    PerfArea("stop_tokens", "Algorithm 2 stop-token selection", _stop_tokens),
     PerfArea("rf_fit", "random-forest fitting", _rf_fit),
     PerfArea("icl_delivery", "simulated ICL prompt delivery", _icl_delivery),
     PerfArea("store_roundtrip", "artifact store put/load round-trip", _store_roundtrip),

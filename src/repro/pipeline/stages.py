@@ -32,18 +32,20 @@ All stages except the trained classifiers, the random baseline and the
 contextual BERT wrapper carry save/load hooks, so a populated artifact
 store turns a cold benchmark run into a sequence of loads.
 
-Determinism note: the ``bert`` stage *canonicalises* the pretrained model by
-round-tripping it through its serialised form even when no store is
-configured.  Pretraining advances the per-layer dropout RNGs; without the
-round-trip, fine-tuning from a freshly pretrained model and from a
-store-loaded one would draw different dropout masks and diverge.  After
-canonicalisation the artifact is identical either way, so warm and cold
-runs produce byte-identical tables.
+Determinism note: the ``bert`` stage *canonicalises* the pretrained model
+even when no store is configured: it returns a fresh
+:class:`~repro.bert.model.MiniBert` with a fresh WordPiece tokenizer, the
+pretrained parameter values copied in, eval mode set and the losses held
+as floats, which is exactly what loading the stored entry gives.
+Pretraining advances the per-layer dropout RNGs; without this, fine-tuning
+from a freshly pretrained model and from a store-loaded one would draw
+different dropout masks and diverge.  After canonicalisation the artifact
+is identical either way, so warm and cold runs produce byte-identical
+tables.
 """
 
 from __future__ import annotations
 
-import tempfile
 from functools import partial
 from pathlib import Path
 from typing import Dict, List
@@ -55,7 +57,7 @@ from repro.adaptation.task_oriented import (
     stopword_filter,
 )
 from repro.bert.finetune import fine_tune
-from repro.bert.model import BertConfig
+from repro.bert.model import BertConfig, MiniBert
 from repro.bert.pretrain import PretrainConfig, pretrain_mlm
 from repro.bert.wordpiece import WordPieceTokenizer, train_wordpiece
 from repro.core.datasets import (
@@ -286,11 +288,24 @@ def _build_bert(lab, inputs):
         bert_config,
         PretrainConfig(epochs=config.pretrain_epochs, seed=config.seed),
     )
-    # Canonicalise RNG state via a serialisation round-trip (module docstring).
-    # statcheck: ignore[PUR002] - scratch dir vanishes before return; output depends only on inputs
-    with tempfile.TemporaryDirectory(prefix="repro-bert-") as tmp:
-        _save_bert_model(model, Path(tmp))
-        return _load_bert_model(Path(tmp), inputs)
+    return _canonical_bert(model)
+
+
+def _canonical_bert(model: MiniBert) -> MiniBert:
+    """The model :func:`_load_bert_model` would return for ``model``'s
+    stored entry, built in memory (module docstring, determinism note)."""
+    tokenizer = model.tokenizer
+    canonical = MiniBert(
+        WordPieceTokenizer([tokenizer.piece_of(i) for i in range(len(tokenizer))]),
+        model.config,
+    )
+    for target, source in zip(canonical.parameters(), model.parameters()):
+        target.value[...] = source.value
+    canonical.set_training(False)
+    canonical.pretrain_losses = [
+        float(x) for x in getattr(model, "pretrain_losses", [])
+    ]
+    return canonical
 
 
 def _build_random_embedding(lab, inputs):

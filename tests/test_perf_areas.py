@@ -12,6 +12,7 @@ EXPECTED_AREAS = (
     "word2vec_neg",
     "bert_pretrain_step",
     "bert_finetune",
+    "stop_tokens",
     "rf_fit",
     "icl_delivery",
     "store_roundtrip",
@@ -19,9 +20,9 @@ EXPECTED_AREAS = (
 
 
 class TestRegistry:
-    def test_the_nine_areas_are_registered(self):
+    def test_the_expected_areas_are_registered(self):
         assert area_names() == list(EXPECTED_AREAS)
-        assert len(AREAS) == 9
+        assert len(AREAS) == len(EXPECTED_AREAS) == 10
 
     def test_every_area_has_a_title(self):
         assert all(area.title for area in AREAS)
