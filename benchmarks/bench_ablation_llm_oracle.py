@@ -34,11 +34,12 @@ def compute(lab):
             consistency=1.0,
         )
         client = SimulatedChatModel(profile, truth, 1, seed=lab.config.seed)
-        wrap, retry, journal = icl_resilience(f"ablation_oracle_{ability}")
-        result = run_icl_experiment(
-            wrap(client), list(split.train), queries, PromptVariant.BASE,
-            config, retry=retry, journal=journal,
-        )
+        engine, journal = icl_resilience(f"ablation_oracle_{ability}", client)
+        with engine:
+            result = run_icl_experiment(
+                client, list(split.train), queries, PromptVariant.BASE,
+                config, journal=journal, engine=engine,
+            )
         rows[ability] = result.accuracy_mean
     return rows
 

@@ -61,13 +61,14 @@ def compute(lab):
                 )
                 # Optional fault injection / checkpointing via REPRO_FAULTS
                 # and REPRO_JOURNAL_DIR; no-op in a plain benchmark run.
-                wrap, retry, journal = icl_resilience(
-                    f"table5_t{task}_{profile.name}_v{variant.value}"
+                engine, journal = icl_resilience(
+                    f"table5_t{task}_{profile.name}_v{variant.value}", client
                 )
-                results[(task, profile.name, variant)] = run_icl_experiment(
-                    wrap(client), list(split.train), queries, variant, config,
-                    retry=retry, journal=journal,
-                )
+                with engine:
+                    results[(task, profile.name, variant)] = run_icl_experiment(
+                        client, list(split.train), queries, variant, config,
+                        journal=journal, engine=engine,
+                    )
     return results
 
 

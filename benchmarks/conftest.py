@@ -112,33 +112,37 @@ def run_once(benchmark, fn, *args, **kwargs):
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, iterations=1, rounds=1)
 
 
-def icl_resilience(label):
-    """Resilience knobs for an ICL benchmark, from the environment.
+def icl_resilience(label, client):
+    """The delivery engine and journal for an ICL benchmark, from the environment.
 
-    Returns ``(wrap, retry, journal)``:
+    Returns ``(engine, journal)``:
 
-    * ``wrap(client)`` — identity, unless ``REPRO_FAULTS`` holds a fault
-      spec (e.g. ``timeout:0.1,http500:0.05``), in which case the client is
-      wrapped in a deterministic :class:`~repro.resilience.faults.FaultyClient`;
-    * ``retry`` — a :class:`~repro.resilience.retry.RetryPolicy` on a
-      virtual clock when faults are active (backoff costs no wall time),
-      else ``None``;
+    * ``engine`` — a one-backend, one-worker
+      :class:`~repro.delivery.engine.DeliveryEngine` over ``client``.  When
+      ``REPRO_FAULTS`` holds a fault spec (e.g. ``timeout:0.1,http500:0.05``)
+      the backend wraps the client in a deterministic
+      :class:`~repro.resilience.faults.FaultyClient` and retries on a
+      virtual clock (backoff costs no wall time);
     * ``journal`` — ``$REPRO_JOURNAL_DIR/<label>.journal.jsonl`` when
       ``REPRO_JOURNAL_DIR`` is set, else ``None``.
 
-    With neither variable set this is a no-op, so plain benchmark runs are
+    With neither variable set the engine delivers exactly what
+    ``run_icl_experiment`` would without one, so plain benchmark runs are
     untouched; CI sets them to prove tables survive injected faults.
     """
+    from repro.delivery import DeliveryBackend, DeliveryConfig, DeliveryEngine
+
     faults = os.environ.get("REPRO_FAULTS", "")
     journal_dir = os.environ.get("REPRO_JOURNAL_DIR", "")
-    wrap, retry, journal = (lambda client: client), None, None
+    delivered, retry, journal = client, None, None
     if faults:
         from repro.resilience.faults import FaultClock, FaultPlan, FaultyClient
         from repro.resilience.retry import RetryPolicy
 
         plan = FaultPlan.parse(faults, seed=BENCH_LAB_CONFIG.seed)
-        wrap = lambda client: FaultyClient(client, plan)  # noqa: E731
+        delivered = FaultyClient(client, plan)
         retry = RetryPolicy(seed=BENCH_LAB_CONFIG.seed, clock=FaultClock())
     if journal_dir:
         journal = os.path.join(journal_dir, f"{label}.journal.jsonl")
-    return wrap, retry, journal
+    backend = DeliveryBackend(client.name, delivered, retry=retry)
+    return DeliveryEngine([backend], DeliveryConfig(jobs=1)), journal

@@ -349,6 +349,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_icl(args: argparse.Namespace) -> int:
+    from repro.delivery import (
+        DeliveryConfig,
+        DeliveryEngine,
+        ResponseCache,
+        simulated_backends,
+    )
     from repro.resilience.checkpoint import CheckpointAbort, Journal
     from repro.resilience.faults import FaultClock, FaultPlan, FaultyClient
     from repro.resilience.retry import RetryPolicy
@@ -358,86 +364,52 @@ def cmd_icl(args: argparse.Namespace) -> int:
     split = train_test_split_9_1(dataset, seed=args.seed)
     config = ICLConfig(seed=args.seed)
     queries = build_icl_queries(dataset, config)
-    client = SimulatedChatModel(
-        SIMULATED_MODELS[args.model], truth_table(dataset), args.task,
-        seed=args.seed,
-    )
+    profile, truth = SIMULATED_MODELS[args.model], truth_table(dataset)
+    client = SimulatedChatModel(profile, truth, args.task, seed=args.seed)
+    retry = None
     if args.faults:
         try:
             FaultPlan.parse(args.faults, seed=args.fault_seed)
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-    use_engine = (
-        args.jobs > 1
-        or args.n_backends > 1
-        or args.cache is not None
-        or args.hedge_ms is not None
-        or args.deadline_ms is not None
-    )
-    retry = None
-    engine = None
-    if use_engine:
-        from repro.delivery import (
-            DeliveryConfig,
-            DeliveryEngine,
-            ResponseCache,
-            simulated_backends,
-        )
-
-        if args.faults:
-            # Demo mode: back off on a virtual clock so the run stays instant.
-            retry = RetryPolicy(seed=args.seed, clock=FaultClock())
-        backends = simulated_backends(
-            SIMULATED_MODELS[args.model], truth_table(dataset), args.task,
-            n_backends=args.n_backends, seed=args.seed,
-            fault_plan_text=args.faults, fault_seed=args.fault_seed,
-            retry=retry,
-        )
-        cache = ResponseCache(args.cache) if args.cache else None
-        engine = DeliveryEngine(
-            backends,
-            DeliveryConfig(
-                jobs=args.jobs,
-                hedge_s=(
-                    args.hedge_ms / 1000.0 if args.hedge_ms is not None else None
-                ),
-                deadline_s=(
-                    args.deadline_ms / 1000.0
-                    if args.deadline_ms is not None
-                    else None
-                ),
-                seed=args.seed,
-            ),
-            cache=cache,
-        )
-    elif args.faults:
-        plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
-        client = FaultyClient(client, plan)
         # Demo mode: back off on a virtual clock so the run stays instant.
         retry = RetryPolicy(seed=args.seed, clock=FaultClock())
+    backends = simulated_backends(
+        profile, truth, args.task,
+        n_backends=args.n_backends, seed=args.seed,
+        fault_plan_text=args.faults, fault_seed=args.fault_seed,
+        retry=retry,
+    )
+    delivery_config = DeliveryConfig(
+        jobs=args.jobs,
+        hedge_s=args.hedge_ms / 1000.0 if args.hedge_ms is not None else None,
+        deadline_s=(
+            args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
+        ),
+        seed=args.seed,
+    )
+    cache = ResponseCache(args.cache) if args.cache else None
     journal = args.journal
     if journal and not args.resume:
         Journal(journal).wipe()  # fresh start unless explicitly resuming
     variant = PromptVariant(args.variant)
-    try:
-        result = run_icl_experiment(
-            client, list(split.train), queries, variant, config,
-            retry=retry, journal=journal, max_deliveries=args.max_deliveries,
-            engine=engine,
-        )
-    except CheckpointAbort as abort:
-        print(f"stopped: {abort}", file=sys.stderr)
-        if journal:
-            print(
-                f"journal {journal} holds the completed deliveries; "
-                f"rerun with --resume to continue",
-                file=sys.stderr,
+    with DeliveryEngine(backends, delivery_config, cache=cache) as engine:
+        try:
+            result = run_icl_experiment(
+                client, list(split.train), queries, variant, config,
+                journal=journal, max_deliveries=args.max_deliveries,
+                engine=engine,
             )
-        return 3
-    finally:
-        if engine is not None:
-            engine.close()
+        except CheckpointAbort as abort:
+            print(f"stopped: {abort}", file=sys.stderr)
+            if journal:
+                print(
+                    f"journal {journal} holds the completed deliveries; "
+                    f"rerun with --resume to continue",
+                    file=sys.stderr,
+                )
+            return 3
     table = Table(
         f"ICL protocol: {args.model}, variant #{args.variant}, task {args.task}",
         ["accuracy", "unclassified", "failed", "precision", "recall", "F1",
@@ -451,43 +423,33 @@ def cmd_icl(args: argparse.Namespace) -> int:
     table.show()
     if args.output:
         table.save(args.output)
-    if isinstance(client, FaultyClient):
-        injected = ", ".join(
-            f"{kind}={count}" for kind, count in sorted(client.injected.items())
+    summary = ", ".join(
+        f"{name}={count}" for name, count in sorted(engine.counters().items())
+    ) or "no deliveries"
+    print(
+        f"delivery engine ({args.n_backends} backends, "
+        f"{args.jobs} jobs): {summary}",
+        file=sys.stderr,
+    )
+    injected: dict = {}
+    calls = 0
+    for backend in engine.backends:
+        faulty = backend.client
+        while faulty is not None and not isinstance(faulty, FaultyClient):
+            faulty = getattr(faulty, "inner", None)
+        if faulty is None:
+            continue
+        calls += faulty.calls
+        for kind, count in faulty.injected.items():
+            injected[kind] = injected.get(kind, 0) + count
+    if calls:
+        summary = ", ".join(
+            f"{kind}={count}" for kind, count in sorted(injected.items())
         ) or "none"
         print(
-            f"injected faults over {client.calls} calls: {injected}",
+            f"injected faults over {calls} backend calls: {summary}",
             file=sys.stderr,
         )
-    if engine is not None:
-        counters = engine.counters()
-        summary = ", ".join(
-            f"{name}={count}" for name, count in sorted(counters.items())
-        ) or "no deliveries"
-        print(
-            f"delivery engine ({args.n_backends} backends, "
-            f"{args.jobs} jobs): {summary}",
-            file=sys.stderr,
-        )
-        injected: dict = {}
-        calls = 0
-        for backend in engine.backends:
-            faulty = backend.client
-            while faulty is not None and not isinstance(faulty, FaultyClient):
-                faulty = getattr(faulty, "inner", None)
-            if faulty is None:
-                continue
-            calls += faulty.calls
-            for kind, count in faulty.injected.items():
-                injected[kind] = injected.get(kind, 0) + count
-        if calls:
-            summary = ", ".join(
-                f"{kind}={count}" for kind, count in sorted(injected.items())
-            ) or "none"
-            print(
-                f"injected faults over {calls} backend calls: {summary}",
-                file=sys.stderr,
-            )
     if result.n_resumed:
         print(
             f"resumed {result.n_resumed} deliveries from {journal}",

@@ -19,10 +19,9 @@ from repro.bert.finetune import FineTuneConfig, fine_tune
 from repro.bert.model import MiniBert
 from repro.core.triples import LabeledTriple
 from repro.embeddings.base import EmbeddingModel
-from repro.llm.client import ChatClient, ChatClientError
+from repro.llm.client import ChatClient
 from repro.llm.icl import FALSE, TRUE, UNCLASSIFIED, parse_response
 from repro.llm.prompts import PromptVariant, render_prompt
-from repro.resilience.retry import CircuitOpenError, RetryError, RetryPolicy
 from repro.ml.features import FeatureExtractor, TokenFilter
 from repro.ml.forest import RandomForest, RandomForestConfig
 from repro.ml.lstm import LSTMClassifier, LSTMConfig
@@ -196,14 +195,14 @@ class ICLParadigm(Paradigm):
     are updated — the defining property of the paradigm).  ``classify``
     renders one prompt per triple and parses the single completion;
     unparseable or abstaining completions come back as ``None``, as do
-    deliveries whose client failed permanently (transient failures are
-    retried when a ``retry`` policy is supplied).
+    deliveries that failed permanently.
 
-    When an ``engine`` (:class:`repro.delivery.DeliveryEngine`) is supplied,
-    completions route through it instead of the raw client — gaining the
-    engine's retries, rate limits, hedging, and response cache.  Each query
-    is delivered at repeat index 0, so the answer is a pure function of the
-    prompt regardless of what else the engine is serving (the serving
+    Completions route through ``engine`` (a
+    :class:`repro.delivery.DeliveryEngine`, with its retries, rate limits,
+    hedging and response cache), or through a one-backend, one-worker
+    engine over ``client`` when none is given.  Each query is delivered at
+    repeat index 0, so the answer is a pure function of the prompt
+    regardless of what else the engine is serving (the serving
     batch-invariance contract).
     """
 
@@ -214,15 +213,18 @@ class ICLParadigm(Paradigm):
         n_examples_per_class: int = 3,
         seed: SeedLike = 0,
         name: Optional[str] = None,
-        retry: Optional[RetryPolicy] = None,
         engine: Optional["DeliveryEngine"] = None,
     ):
+        from repro.delivery import DeliveryBackend, DeliveryConfig, DeliveryEngine
+
         super().__init__(name or f"ICL({client.name})")
-        self.client = client
         self.variant = variant
         self.n_examples_per_class = n_examples_per_class
         self.seed = seed
-        self.retry = retry
+        if engine is None:
+            engine = DeliveryEngine(
+                [DeliveryBackend(client.name, client)], DeliveryConfig(jobs=1)
+            )
         self.engine = engine
         self._pool_pos: List[LabeledTriple] = []
         self._pool_neg: List[LabeledTriple] = []
@@ -255,29 +257,9 @@ class ICLParadigm(Paradigm):
             chosen.append(candidate)
         return chosen
 
-    def _deliver(self, prompt: str) -> str:
-        """One completion via the engine when present, the client otherwise.
-
-        Engine failures surface as a non-retryable
-        :class:`~repro.llm.client.ChatClientError` so ``classify`` handles
-        both paths through one except clause.
-        """
-        if self.engine is not None:
-            from repro.delivery.engine import DeliveryError
-
-            try:
-                return self.engine.complete(prompt, repeat=0)
-            except DeliveryError as error:
-                raise ChatClientError(
-                    f"delivery failed: {error.outcome.status}",
-                    retryable=False,
-                    kind="delivery",
-                ) from error
-        if self.retry is None:
-            return self.client.complete(prompt)
-        return self.retry.call(self.client.complete, prompt)
-
     def classify(self, triples: Sequence[LabeledTriple]) -> List[Optional[int]]:
+        from repro.delivery import DeliveryError
+
         if not self._pool_pos:
             raise RuntimeError(f"{self.name} is not fitted")
         results: List[Optional[int]] = []
@@ -291,8 +273,8 @@ class ICLParadigm(Paradigm):
                 seed=derive_rng(self.seed, "icl-paradigm-order", index),
             )
             try:
-                text = self._deliver(prompt)
-            except (ChatClientError, RetryError, CircuitOpenError):
+                text = self.engine.complete(prompt, repeat=0)
+            except DeliveryError:
                 get_tracer().count("icl.client_failures")
                 results.append(None)
                 continue

@@ -3,7 +3,9 @@
 The paper's ICL protocol issues thousands of completions (100 prompts x 5
 repeats x several models); delivering them strictly sequentially means one
 slow or flaky backend stalls the whole table.  :mod:`repro.delivery` is the
-dispatch layer between the experiment loops and the chat clients:
+one dispatch layer between the experiment loops and the chat clients —
+every ICL completion is delivered through it, a plain run included (as a
+one-backend, one-worker engine):
 
 * :class:`~repro.delivery.engine.DeliveryEngine` fans deliveries out over a
   thread pool across N named :class:`~repro.delivery.backends.DeliveryBackend`
@@ -27,8 +29,8 @@ dispatch layer between the experiment loops and the chat clients:
 Determinism survives concurrency because delivery behaviour is pure in
 ``(prompt, repeat)``: clients expose
 :meth:`~repro.llm.client.ChatClient.complete_indexed`, so whichever thread,
-backend, or hedge wins produces the same completion the sequential loop
-would have — the engine's table is byte-identical to the sequential one.
+backend, or hedge wins produces the same completion — a ``--jobs 8`` table
+is byte-identical to a one-worker, one-backend run.
 """
 
 from repro.delivery.backends import DeliveryBackend, LatencyClient, simulated_backends

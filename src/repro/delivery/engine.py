@@ -20,7 +20,8 @@
 Concurrency cannot change results: backends answer through
 ``complete_indexed(prompt, repeat)`` and replicas are interchangeable, so
 the outcome map is a pure function of the request set.  The ``--jobs 8``
-table is byte-identical to the sequential one.
+table is byte-identical to the ``jobs=1`` one-backend table that a plain
+:func:`~repro.llm.icl.run_icl_experiment` call delivers through.
 
 Wall-clock calls are forbidden here by statcheck RES002 — every time read
 and sleep goes through the injected :class:`~repro.resilience.retry.Clock`

@@ -5,11 +5,13 @@ interface offline; :class:`HTTPChatClient` talks to a real OpenAI-compatible
 endpoint for users with API access, reproducing the paper's original setup
 (``gpt-3.5-turbo-0613`` / ``gpt-4-0613`` via the chat-completions API).
 
-Every failure of the HTTP path surfaces as a typed :class:`ChatClientError`
-whose ``retryable`` flag drives :class:`repro.resilience.retry.RetryPolicy`;
-raw ``urllib`` / ``json`` / ``KeyError`` exceptions never leak.  Pass a
-``retry`` policy (and optionally a ``breaker``) to make ``complete`` retry
-transient failures with exponential backoff.
+A client is a single-attempt transport: every delivery names its repeat
+index, so a completion is a pure function of ``(prompt, repeat)``.
+Retries, circuit breaking, rate limits and deadlines live one layer up, in
+:class:`~repro.delivery.backends.DeliveryBackend`.  Every failure of the
+HTTP path surfaces as a typed :class:`ChatClientError` whose ``retryable``
+flag drives that layer's :class:`~repro.resilience.retry.RetryPolicy`; raw
+``urllib`` / ``json`` / ``KeyError`` exceptions never leak.
 """
 
 from __future__ import annotations
@@ -18,12 +20,9 @@ import abc
 import json
 import urllib.error
 import urllib.request
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.obs.trace import get_tracer, span
-
-if TYPE_CHECKING:  # avoid a runtime cycle: resilience.faults subclasses ChatClient
-    from repro.resilience.retry import CircuitBreaker, Clock, RetryPolicy
 
 
 class ChatClientError(RuntimeError):
@@ -54,40 +53,27 @@ RETRYABLE_STATUSES = frozenset({408, 409, 425, 429})
 
 
 class ChatClient(abc.ABC):
-    """Anything that maps a prompt string to a completion string."""
+    """Anything that maps a ``(prompt, repeat)`` delivery to a completion."""
 
     @abc.abstractmethod
-    def complete(self, prompt: str) -> str:
-        """Return the model's completion for ``prompt``."""
-
     def complete_indexed(
         self, prompt: str, repeat: int, *, timeout_s: Optional[float] = None
     ) -> str:
-        """One delivery with the repeat index made explicit.
+        """The completion for delivery ``repeat`` of ``prompt``.
 
-        The concurrent delivery engine calls this instead of
-        :meth:`complete` so a completion is a pure function of ``(prompt,
-        repeat)`` regardless of thread schedule.  ``timeout_s`` is the
-        remaining deadline budget for this attempt; clients without a
-        network ignore it.  The default delegates to :meth:`complete` —
-        correct only for clients whose answer does not depend on delivery
-        history (stateful simulators override it).
+        The answer must be a pure function of ``(prompt, repeat)`` — no
+        delivery history — so the delivery engine can run deliveries in any
+        order on any thread.  ``timeout_s`` is the remaining deadline
+        budget for this attempt; clients without a network ignore it.
         """
-        return self.complete(prompt)
+
+    def complete(self, prompt: str) -> str:
+        """The first delivery (repeat 0) of ``prompt``."""
+        return self.complete_indexed(prompt, 0)
 
     @property
     def name(self) -> str:
         return type(self).__name__
-
-    def skip_delivery(self, prompt: str) -> None:
-        """Note that one delivery of ``prompt`` was served from a checkpoint.
-
-        The checkpoint-resume path calls this instead of :meth:`complete`
-        for journaled deliveries, so clients that track per-prompt repeat
-        indices (the simulators) stay in sync with an uninterrupted run.
-        Stateless clients ignore it.
-        """
-        return None
 
 
 class EchoClient(ChatClient):
@@ -96,7 +82,9 @@ class EchoClient(ChatClient):
     def __init__(self, response: str = "True"):
         self._response = response
 
-    def complete(self, prompt: str) -> str:
+    def complete_indexed(
+        self, prompt: str, repeat: int, *, timeout_s: Optional[float] = None
+    ) -> str:
         return self._response
 
 
@@ -115,9 +103,6 @@ class HTTPChatClient(ChatClient):
         endpoint: str = "https://api.openai.com/v1/chat/completions",
         temperature: Optional[float] = None,
         timeout: float = 60.0,
-        retry: Optional["RetryPolicy"] = None,
-        breaker: Optional["CircuitBreaker"] = None,
-        clock: Optional["Clock"] = None,
     ):
         if not api_key:
             raise ValueError("api_key must be provided")
@@ -126,75 +111,19 @@ class HTTPChatClient(ChatClient):
         self.endpoint = endpoint
         self.temperature = temperature
         self.timeout = timeout
-        self.retry = retry
-        self.breaker = breaker
-        if clock is None:
-            from repro.resilience.retry import SYSTEM_CLOCK
-
-            clock = SYSTEM_CLOCK
-        self.clock = clock
 
     @property
     def name(self) -> str:
         return self.model
 
-    def complete(self, prompt: str, *, deadline_s: Optional[float] = None) -> str:
-        """One completion, honouring a per-request deadline end to end.
-
-        ``deadline_s`` bounds the *whole* delivery — every attempt's socket
-        timeout is the remaining budget, and once the budget is spent no
-        further retry is attempted (a late transient error would otherwise
-        burn the full backoff schedule to no purpose).
-        """
-        expires = (
-            self.clock.monotonic() + deadline_s if deadline_s is not None else None
-        )
-
-        def attempt() -> str:
-            return self._complete_once(prompt, timeout_s=self._remaining(expires))
-
-        if self.retry is not None:
-
-            def classify(error: BaseException) -> bool:
-                from repro.resilience.retry import is_retryable
-
-                if expires is not None and self.clock.monotonic() >= expires:
-                    return False  # budget spent: every error is final
-                return is_retryable(error)
-
-            return self.retry.call(attempt, classify=classify, breaker=self.breaker)
-        if self.breaker is not None:
-            return self.breaker.call(attempt)
-        return attempt()
-
     def complete_indexed(
         self, prompt: str, repeat: int, *, timeout_s: Optional[float] = None
     ) -> str:
-        """Engine entry point: a single stateless attempt.
+        """One HTTP attempt; the API is stateless in the repeat index.
 
-        The delivery engine owns retries, breakers, and deadlines at the
-        backend layer, so this deliberately bypasses the client's own
-        ``retry``/``breaker`` — stacking two retry schedules would multiply
-        attempts.  The HTTP API is stateless in the repeat index.
+        ``timeout_s`` (the delivery's remaining deadline budget) caps the
+        socket timeout; a spent budget fails before touching the network.
         """
-        return self._complete_once(prompt, timeout_s=timeout_s)
-
-    def _remaining(self, expires: Optional[float]) -> Optional[float]:
-        """Seconds left until ``expires``; raises once the budget is gone."""
-        if expires is None:
-            return None
-        remaining = expires - self.clock.monotonic()
-        if remaining <= 0:
-            raise ChatClientError(
-                "deadline exhausted before the request was issued",
-                retryable=False,
-                kind="timeout",
-            )
-        return remaining
-
-    def _complete_once(
-        self, prompt: str, timeout_s: Optional[float] = None
-    ) -> str:
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],

@@ -183,9 +183,10 @@ class SimulatedChatModel(ChatClient):
 
     ``truth`` maps rendered triple texts (``LabeledTriple.as_text``) to gold
     labels; queries missing from the table are answered by a fair coin,
-    modelling out-of-knowledge entities.  Repeat indices are tracked per
-    prompt internally, so delivering the same prompt five times exercises the
-    consistency behaviour without any API change.
+    modelling out-of-knowledge entities.  Each delivery names its repeat
+    index, so delivering a prompt at repeats 0-4 exercises the consistency
+    behaviour while the answer stays a pure function of ``(prompt,
+    repeat)``.
     """
 
     def __init__(
@@ -200,24 +201,10 @@ class SimulatedChatModel(ChatClient):
         self.ability = profile.ability(task_number)
         self.task_number = task_number
         self.seed = seed
-        self._deliveries: Dict[str, int] = {}
 
     @property
     def name(self) -> str:
         return self.profile.name
-
-    def reset(self):
-        """Forget delivery counts (start a fresh repeated-delivery protocol)."""
-        self._deliveries.clear()
-
-    def skip_delivery(self, prompt: str) -> None:
-        """Advance the repeat index for a delivery served from a checkpoint.
-
-        Keeps a resumed run's consistency behaviour identical to an
-        uninterrupted one: the repeat counter must reflect every delivery,
-        journaled or live.
-        """
-        self._deliveries[prompt] = self._deliveries.get(prompt, 0) + 1
 
     # -- behaviour ----------------------------------------------------------
 
@@ -258,20 +245,15 @@ class SimulatedChatModel(ChatClient):
         pool = pools[decision]
         return pool[int(rng.integers(0, len(pool)))]
 
-    def complete(self, prompt: str) -> str:
-        repeat = self._deliveries.get(prompt, 0)
-        self._deliveries[prompt] = repeat + 1
-        return self.complete_indexed(prompt, repeat)
-
     def complete_indexed(
         self, prompt: str, repeat: int, *, timeout_s: Optional[float] = None
     ) -> str:
         """The completion for delivery ``repeat`` of ``prompt``.
 
-        Pure in ``(prompt, repeat)`` — no delivery history is consulted or
-        mutated — which is what lets the concurrent delivery engine produce
-        byte-identical tables whatever the thread schedule.  ``timeout_s``
-        is ignored: there is no network to time out.
+        Pure in ``(prompt, repeat)``, which is what lets the concurrent
+        delivery engine produce byte-identical tables whatever the thread
+        schedule.  ``timeout_s`` is ignored: there is no network to time
+        out.
         """
         query = extract_query_text(prompt)
         label = self.truth.get(query)

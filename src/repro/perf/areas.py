@@ -441,7 +441,7 @@ def _icl_delivery() -> Tuple[Benchmark, dict]:
     section, so the committed baseline documents the engine's speedup:
     ``sequential_reference_s / stats.median_s`` is the throughput multiple.
     The checksum covers (accuracy, unclassified), which the engine must
-    reproduce byte-identically to the sequential path.
+    reproduce byte-identically to the one-backend ``jobs=1`` reference.
     """
     import time
 

@@ -3,9 +3,10 @@
 The retry / checkpoint machinery must be testable offline, so instead of a
 flaky network we inject faults: :class:`FaultyClient` wraps any
 :class:`~repro.llm.client.ChatClient` and, per a :class:`FaultPlan`, turns
-individual calls into timeouts, HTTP 429/500s, malformed JSON bodies, or
-corrupted completions.  Decisions are drawn deterministically from
-``(plan seed, call index)``, so a faulty run is exactly reproducible.
+individual attempts into timeouts, HTTP 429/500s, malformed JSON bodies, or
+corrupted completions.  Decisions are drawn deterministically from ``(plan
+seed, prompt digest, repeat, attempt)``, so a faulty run is exactly
+reproducible whatever order its deliveries run in.
 
 The *error* fault kinds (``timeout``, ``http429``, ``http500``,
 ``malformed``) raise **before** consulting the wrapped client, so a delivery
@@ -13,7 +14,8 @@ that is retried to success consumes exactly one real completion — an ICL
 table produced under an error-fault plan is byte-identical to the fault-free
 table as long as retries outlast ``max_consecutive``.  The *corruption*
 kinds (``garbage``, ``truncated``) consume a real completion and mangle it,
-exercising the parser's graceful-degradation path instead.
+exercising the parser's graceful-degradation path instead; which
+deliveries they hit depends only on the delivery, not on the schedule.
 
 :class:`FaultClock` is a virtual clock for the retry layer: ``sleep``
 advances virtual time instantly, so backoff schedules are assertable and
@@ -58,11 +60,12 @@ class FaultSpec:
 class FaultPlan:
     """A deterministic schedule of injected faults.
 
-    ``draw(index)`` checks each spec in order against an rng derived from
-    ``(seed, index)`` and returns the first matching kind (or ``None``).
-    ``max_consecutive`` bounds runs of injected faults so that a retry
-    policy with more attempts than that is guaranteed to get through —
-    the invariant behind the byte-identical-under-faults benchmark check.
+    ``draw_for(*labels)`` checks each spec in order against an rng derived
+    from ``(seed, labels)`` and returns the first matching kind (or
+    ``None``).  ``max_consecutive`` bounds the faulted attempts of one
+    delivery so that a retry policy with more attempts than that is
+    guaranteed to get through — the invariant behind the
+    byte-identical-under-faults benchmark check.
     """
 
     def __init__(
@@ -110,22 +113,16 @@ class FaultPlan:
             raise ValueError(f"empty fault spec {text!r}")
         return cls(specs, seed=seed, max_consecutive=max_consecutive)
 
-    def draw(self, index: int) -> Optional[str]:
-        """The fault kind injected at call ``index``, or ``None``."""
-        return self._draw(derive_rng(self.seed, "fault-plan", index))
-
     def draw_for(self, *labels: object) -> Optional[str]:
-        """A fault draw keyed by content labels instead of call order.
+        """The fault kind injected for the attempt named by ``labels``.
 
-        The concurrent delivery engine interleaves calls unpredictably, so
-        a global call index would make the fault schedule depend on the
-        thread schedule.  Keying each draw on ``(prompt-digest, repeat,
-        attempt)`` keeps injection deterministic per *delivery*, whatever
-        order deliveries run in.
+        The delivery engine interleaves calls unpredictably, so a global
+        call index would make the fault schedule depend on the thread
+        schedule.  Keying each draw on ``(prompt-digest, repeat, attempt)``
+        keeps injection deterministic per *delivery*, whatever order
+        deliveries run in.
         """
-        return self._draw(derive_rng(self.seed, "fault-plan-delivery", *labels))
-
-    def _draw(self, rng) -> Optional[str]:
+        rng = derive_rng(self.seed, "fault-plan-delivery", *labels)
         for spec in self.specs:
             if rng.random() < spec.rate:
                 return spec.kind
@@ -144,7 +141,7 @@ class FaultyClient(ChatClient):
     Error faults raise :class:`~repro.llm.client.ChatClientError` without
     touching the wrapped client; corruption faults consume a real completion
     and mangle it.  ``injected`` tallies injections by kind, ``calls`` the
-    total ``complete`` calls (including the failed ones).
+    total attempts (including the failed ones).
     """
 
     def __init__(self, inner: ChatClient, plan: FaultPlan):
@@ -152,43 +149,24 @@ class FaultyClient(ChatClient):
         self.plan = plan
         self.calls = 0
         self.injected: Dict[str, int] = {}
-        self._consecutive = 0
         self._lock = threading.Lock()
-        #: Per-(prompt-digest, repeat) attempt counters for the indexed path.
+        #: Attempts seen so far per (prompt-digest, repeat) delivery.
         self._attempts: Dict[Tuple[str, int], int] = {}
 
     @property
     def name(self) -> str:
         return self.inner.name
 
-    def skip_delivery(self, prompt: str) -> None:
-        self.inner.skip_delivery(prompt)
-
-    def complete(self, prompt: str) -> str:
-        with self._lock:
-            index = self.calls
-            self.calls += 1
-            kind = None
-            if self._consecutive < self.plan.max_consecutive:
-                kind = self.plan.draw(index)
-            if kind is None:
-                self._consecutive = 0
-            else:
-                self._consecutive += 1
-        if kind is None:
-            return self.inner.complete(prompt)
-        return self._inject(kind, prompt, self.inner.complete)
-
     def complete_indexed(
         self, prompt: str, repeat: int, *, timeout_s: Optional[float] = None
     ) -> str:
         """Fault injection keyed per delivery, safe under concurrency.
 
-        Draws come from ``(prompt-digest, repeat, attempt)`` — not the
-        global call counter — so the schedule is a pure function of the
-        delivery, whatever thread interleaving ran it; ``max_consecutive``
-        bounds faults *per delivery*, preserving the guarantee that a retry
-        policy with more attempts always gets through.
+        Draws come from ``(prompt-digest, repeat, attempt)``, so the
+        schedule is a pure function of the delivery, whatever thread
+        interleaving ran it; ``max_consecutive`` bounds faults *per
+        delivery*, preserving the guarantee that a retry policy with more
+        attempts always gets through.
         """
         delivery = (stable_digest(prompt), int(repeat))
         with self._lock:
@@ -202,13 +180,11 @@ class FaultyClient(ChatClient):
             return self.inner.complete_indexed(
                 prompt, repeat, timeout_s=timeout_s
             )
-        return self._inject(
-            kind,
-            prompt,
-            lambda p: self.inner.complete_indexed(p, repeat, timeout_s=timeout_s),
-        )
+        return self._inject(kind, prompt, repeat, timeout_s)
 
-    def _inject(self, kind: str, prompt: str, deliver) -> str:
+    def _inject(
+        self, kind: str, prompt: str, repeat: int, timeout_s: Optional[float]
+    ) -> str:
         with self._lock:
             self.injected[kind] = self.injected.get(kind, 0) + 1
         get_tracer().count(f"faults.injected.{kind}")
@@ -230,10 +206,8 @@ class FaultyClient(ChatClient):
                 retryable=True,
                 kind="malformed",
             )
-        # Corruption faults consume a real completion and end the error run.
-        with self._lock:
-            self._consecutive = 0
-        text = deliver(prompt)
+        # Corruption faults consume a real completion and mangle it.
+        text = self.inner.complete_indexed(prompt, repeat, timeout_s=timeout_s)
         if kind == "truncated":
             return text[: max(1, len(text) // 2)]
         return _GARBAGE_COMPLETION

@@ -36,7 +36,6 @@ from repro.core.paradigms import (
     RandomForestParadigm,
 )
 from repro.core.triples import LabeledTriple
-from repro.delivery import DeliveryBackend, DeliveryConfig, DeliveryEngine
 from repro.llm.simulated import (
     BIOGPT_PROFILE,
     GPT4_PROFILE,
@@ -97,13 +96,11 @@ class ICLCurator(ParadigmCurator):
     """Batch-invariant wrapper around :class:`ICLParadigm`.
 
     The ICL paradigm's example-selection rng is derived from ``(seed,
-    batch_index, triple_text)`` and the simulated chat client varies its
-    answer with the per-prompt delivery count.  Served batches are arbitrary
-    coalitions of concurrent requests, so both sources of batch sensitivity
-    must be pinned: each triple is classified alone (batch index always 0)
-    against a client with a freshly reset delivery history.  The label for a
-    triple is then a pure function of the triple and the backend seed,
-    whatever traffic surrounded it.
+    batch_index, triple_text)``.  Served batches are arbitrary coalitions of
+    concurrent requests, so each triple is classified alone (batch index
+    always 0); the paradigm delivers every prompt at repeat index 0.  The
+    label for a triple is then a pure function of the triple and the
+    backend seed, whatever traffic surrounded it.
     """
 
     def __init__(self, name: str, paradigm: ICLParadigm):
@@ -112,14 +109,7 @@ class ICLCurator(ParadigmCurator):
     def classify_batch(
         self, triples: Sequence[LabeledTriple]
     ) -> List[Optional[int]]:
-        labels: List[Optional[int]] = []
-        for triple in triples:
-            client = self.paradigm.client
-            reset = getattr(client, "reset", None)
-            if callable(reset):
-                reset()
-            labels.append(self.paradigm.classify([triple])[0])
-        return labels
+        return [self.paradigm.classify([triple])[0] for triple in triples]
 
 
 def build_curator(
@@ -161,16 +151,9 @@ def build_curator(
             client = SimulatedChatModel(
                 profile, truth_table(lab.dataset(task)), task, seed=seed
             )
-            # Served completions ride the delivery engine (single backend,
-            # no hedging): every delivery lands at repeat index 0 through
-            # ``complete_indexed``, which pins batch invariance exactly as
-            # the per-triple client reset used to, while picking up the
-            # engine's typed failure accounting.
-            engine = DeliveryEngine(
-                [DeliveryBackend(f"{backend}-0", client)],
-                DeliveryConfig(jobs=1, seed=seed),
-            )
-            paradigm = ICLParadigm(client, seed=seed, engine=engine).fit(
+            # The paradigm's one-backend delivery engine lands every
+            # delivery at repeat index 0, which pins batch invariance.
+            paradigm = ICLParadigm(client, seed=seed).fit(
                 lab.ml_split(task).train
             )
             return ICLCurator(backend, paradigm)

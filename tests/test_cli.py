@@ -559,6 +559,22 @@ class TestICLDeliveryEngine:
         assert "injected faults" in captured.err
         assert base.read_text() == chaos.read_text()
 
+    def test_corruption_faults_do_not_depend_on_the_schedule(
+        self, tmp_path, capsys
+    ):
+        # Corruption faults are drawn per (prompt, repeat, attempt), so one
+        # worker and four workers over one backend corrupt the same answers.
+        faults = ["--faults", "garbage:0.05,truncated:0.05"]
+        one = tmp_path / "jobs1.txt"
+        four = tmp_path / "jobs4.txt"
+        assert main(ICL_ARGS + faults + ["--output", str(one)]) == 0
+        assert main(ICL_ARGS + faults + [
+            "--output", str(four), "--jobs", "4",
+        ]) == 0
+        captured = capsys.readouterr()
+        assert "injected faults" in captured.err
+        assert one.read_text() == four.read_text()
+
     def test_warm_cache_rerun_rebuilds_nothing(self, tmp_path, capsys):
         cold = tmp_path / "cold.txt"
         warm = tmp_path / "warm.txt"

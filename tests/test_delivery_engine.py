@@ -21,10 +21,22 @@ from repro.delivery import (
     simulated_backends,
 )
 from repro.llm.client import ChatClientError, EchoClient
-from repro.llm.icl import ICLConfig, build_icl_queries, run_icl_experiment
-from repro.llm.prompts import PromptVariant
-from repro.llm.simulated import GPT35_PROFILE, SimulatedChatModel, truth_table
+from repro.llm.icl import (
+    ICLConfig,
+    _draw_examples,
+    build_icl_queries,
+    parse_response,
+    run_icl_experiment,
+)
+from repro.llm.prompts import PromptVariant, render_prompt
+from repro.llm.simulated import (
+    GPT4_PROFILE,
+    GPT35_PROFILE,
+    SimulatedChatModel,
+    truth_table,
+)
 from repro.ontology.synthesis import SynthesisConfig, synthesize_chebi_like
+from repro.obs.manifest import clear_context
 from repro.resilience.checkpoint import CheckpointAbort, Journal
 from repro.resilience.faults import FaultClock
 from repro.resilience.retry import CircuitBreaker, RetryPolicy
@@ -49,15 +61,48 @@ def icl_setup():
     }
 
 
-def _sequential_result(icl_setup):
+@pytest.fixture(autouse=True)
+def _clean_run_context():
+    """Resumed runs write process-global manifest context; isolate tests."""
+    clear_context()
+    yield
+    clear_context()
+
+
+@pytest.fixture
+def oracle(icl_setup, tmp_path):
+    """The table of the old sequential loop, as the reference.
+
+    Repeat ``r`` of every prompt is asked for with ``complete_indexed`` in
+    repeat-major order, outside any engine.  The parsed answers are
+    journaled, so ``run_icl_experiment`` resumes all of them and only
+    scores the table.
+    """
     client = SimulatedChatModel(GPT35_PROFILE, icl_setup["truth"], 1, seed=0)
-    return run_icl_experiment(
-        client,
-        icl_setup["pool"],
-        icl_setup["queries"],
-        PromptVariant.BASE,
-        icl_setup["config"],
+    config, pool = icl_setup["config"], icl_setup["pool"]
+    pos = [t for t in pool if t.label == 1]
+    neg = [t for t in pool if t.label == 0]
+    journal = tmp_path / "oracle.journal"
+    with Journal(journal) as answers:
+        for q, query in enumerate(icl_setup["queries"]):
+            examples = _draw_examples(
+                pos, neg, query, config.n_examples_per_class,
+                derive_rng(config.seed, "icl-examples", q),
+            )
+            prompt = render_prompt(
+                *examples, query, variant=PromptVariant.BASE,
+                seed=derive_rng(config.seed, "icl-order", q),
+            )
+            for r in range(config.n_repeats):
+                text = client.complete_indexed(prompt, r)
+                answers.record(f"{r}:{q}", parse_response(text))
+    result = run_icl_experiment(
+        client, pool, icl_setup["queries"], PromptVariant.BASE, config,
+        journal=journal,
     )
+    assert result.n_resumed == config.n_repeats * len(icl_setup["queries"])
+    clear_context()
+    return result
 
 
 def _engine_result(icl_setup, engine, **kwargs):
@@ -156,7 +201,7 @@ class _BlockingClient(EchoClient):
 
     def complete_indexed(self, prompt, repeat, *, timeout_s=None):
         assert self.release.wait(timeout=30), "test straggler never released"
-        return self.complete(prompt)
+        return super().complete_indexed(prompt, repeat)
 
 
 class TestHedging:
@@ -247,16 +292,14 @@ class TestResponseCaching:
 
 
 class TestEngineMatchesSequential:
-    def test_concurrent_table_is_byte_identical(self, icl_setup):
-        sequential = _sequential_result(icl_setup)
+    def test_concurrent_table_is_byte_identical(self, icl_setup, oracle):
         with DeliveryEngine(
             _backends(icl_setup, n=3), DeliveryConfig(jobs=4)
         ) as engine:
             concurrent = _engine_result(icl_setup, engine)
-        assert concurrent.as_row() == sequential.as_row()
+        assert concurrent.as_row() == oracle.as_row()
 
-    def test_faulted_concurrent_table_is_byte_identical(self, icl_setup):
-        sequential = _sequential_result(icl_setup)
+    def test_faulted_concurrent_table_is_byte_identical(self, icl_setup, oracle):
         retry = RetryPolicy(base_delay=0.01, clock=FaultClock(), seed=0)
         backends = _backends(
             icl_setup,
@@ -268,10 +311,11 @@ class TestEngineMatchesSequential:
             backends, DeliveryConfig(jobs=4, hedge_s=0.05)
         ) as engine:
             faulted = _engine_result(icl_setup, engine)
-        assert faulted.as_row() == sequential.as_row()
+        assert faulted.as_row() == oracle.as_row()
 
-    def test_kill_and_resume_matches_sequential(self, icl_setup, tmp_path):
-        sequential = _sequential_result(icl_setup)
+    def test_kill_and_resume_matches_sequential(
+        self, icl_setup, tmp_path, oracle
+    ):
         journal = tmp_path / "icl.journal"
         with DeliveryEngine(
             _backends(icl_setup, n=3), DeliveryConfig(jobs=4)
@@ -287,10 +331,11 @@ class TestEngineMatchesSequential:
         ) as engine:
             resumed = _engine_result(icl_setup, engine, journal=journal)
         assert resumed.n_resumed == 5
-        assert resumed.as_row() == sequential.as_row()
+        assert resumed.as_row() == oracle.as_row()
 
-    def test_warm_cache_rerun_rebuilds_nothing(self, icl_setup, tmp_path):
-        sequential = _sequential_result(icl_setup)
+    def test_warm_cache_rerun_rebuilds_nothing(
+        self, icl_setup, tmp_path, oracle
+    ):
         cache = ResponseCache(tmp_path / "cache")
         with DeliveryEngine(
             _backends(icl_setup, n=2), DeliveryConfig(jobs=4), cache=cache
@@ -305,8 +350,30 @@ class TestEngineMatchesSequential:
         n_deliveries = cold_counters["deliveries"]
         assert warm_counters == {"cache_hit": n_deliveries}
         assert "completions" not in warm_counters
-        assert warm.as_row() == sequential.as_row()
-        assert cold.as_row() == sequential.as_row()
+        assert warm.as_row() == oracle.as_row()
+        assert cold.as_row() == oracle.as_row()
+
+
+class TestEngineIdentity:
+    def test_engine_for_another_model_is_rejected(self, icl_setup, tmp_path):
+        journal = tmp_path / "icl.journal"
+        gpt4 = simulated_backends(GPT4_PROFILE, icl_setup["truth"], 1, seed=0)
+        with DeliveryEngine(gpt4) as engine:
+            assert engine.model == "gpt-4"
+            with pytest.raises(ValueError, match="gpt-4.*gpt-3.5-turbo"):
+                _engine_result(icl_setup, engine, journal=journal)
+            assert engine.counters() == {}
+        assert not journal.exists()
+
+    def test_engine_model_is_the_client_name_by_default(self, icl_setup):
+        client = SimulatedChatModel(GPT35_PROFILE, icl_setup["truth"], 1)
+        for backends in (
+            _backends(icl_setup, n=2, latency_s=0.0),
+            _backends(icl_setup, n=1, fault_plan_text="timeout:0.1"),
+            _backends(icl_setup, n=1, latency_s=0.001),
+        ):
+            with DeliveryEngine(backends) as engine:
+                assert engine.model == client.name
 
 
 class TestJournalUnderConcurrency:

@@ -170,7 +170,7 @@ class _FlakyClient(EchoClient):
         self.calls += 1
         if self.calls <= self.n_failures:
             raise ChatClientError("boom", retryable=True, kind="network")
-        return self.complete(prompt)
+        return super().complete_indexed(prompt, repeat)
 
 
 class TestDeliveryBackend:

@@ -5,6 +5,7 @@ import urllib.error
 
 import pytest
 
+from repro.delivery import DeadlineBudget, DeadlineExceeded, DeliveryBackend
 from repro.llm.client import (
     RETRYABLE_STATUSES,
     ChatClient,
@@ -213,7 +214,14 @@ class TestExtractCompletion:
         assert exc.value.kind == "protocol"
 
 
+def _backend(client, **kwargs):
+    """The one delivery layer that owns retries, breakers and deadlines."""
+    return DeliveryBackend(client.name, client, **kwargs)
+
+
 class TestRetryWiring:
+    """Retries and breakers around the single-attempt HTTP transport."""
+
     def test_retry_policy_recovers_transient_failures(self, monkeypatch):
         attempts = []
 
@@ -226,11 +234,11 @@ class TestRetryWiring:
             )
 
         monkeypatch.setattr("urllib.request.urlopen", flaky_urlopen)
-        client = HTTPChatClient(
-            api_key="sk-test",
+        backend = _backend(
+            HTTPChatClient(api_key="sk-test"),
             retry=RetryPolicy(base_delay=0.01, clock=FaultClock()),
         )
-        assert client.complete("p") == "True"
+        assert backend.deliver("p", 0) == "True"
         assert len(attempts) == 3
 
     def test_non_retryable_fails_fast_despite_policy(self, monkeypatch):
@@ -241,12 +249,12 @@ class TestRetryWiring:
             raise urllib.error.HTTPError("url", 401, "bad key", {}, None)
 
         monkeypatch.setattr("urllib.request.urlopen", denied_urlopen)
-        client = HTTPChatClient(
-            api_key="sk-test",
+        backend = _backend(
+            HTTPChatClient(api_key="sk-test"),
             retry=RetryPolicy(base_delay=0.01, clock=FaultClock()),
         )
         with pytest.raises(ChatClientError):
-            client.complete("p")
+            backend.deliver("p", 0)
         assert len(attempts) == 1
 
     def test_breaker_cuts_off_dead_endpoint(self, monkeypatch):
@@ -258,21 +266,22 @@ class TestRetryWiring:
 
         monkeypatch.setattr("urllib.request.urlopen", dead_urlopen)
         clock = FaultClock()
-        client = HTTPChatClient(
-            api_key="sk-test",
+        backend = _backend(
+            HTTPChatClient(api_key="sk-test"),
             breaker=CircuitBreaker(failure_threshold=2, reset_timeout=60.0,
                                    clock=clock),
+            clock=clock,
         )
         for _ in range(2):
             with pytest.raises(ChatClientError):
-                client.complete("p")
+                backend.deliver("p", 0)
         with pytest.raises(CircuitOpenError):
-            client.complete("p")
+            backend.deliver("p", 0)
         assert len(attempts) == 2  # the open circuit never hit the network
 
 
 class TestDeadlineBudgets:
-    """The per-request deadline flows end to end through the HTTP client."""
+    """The per-request deadline flows from the backend into the socket."""
 
     def ok_response(self):
         return FakeResponse(
@@ -288,8 +297,10 @@ class TestDeadlineBudgets:
 
         monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
         clock = FaultClock()
-        client = HTTPChatClient(api_key="sk-test", timeout=60.0, clock=clock)
-        client.complete("p", deadline_s=2.5)
+        backend = _backend(
+            HTTPChatClient(api_key="sk-test", timeout=60.0), clock=clock
+        )
+        backend.deliver("p", 0, DeadlineBudget(2.5, clock=clock))
         assert captured["timeout"] == pytest.approx(2.5)
 
     def test_client_timeout_still_caps_the_budget(self, monkeypatch):
@@ -300,10 +311,11 @@ class TestDeadlineBudgets:
             return self.ok_response()
 
         monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-        client = HTTPChatClient(
-            api_key="sk-test", timeout=5.0, clock=FaultClock()
+        clock = FaultClock()
+        backend = _backend(
+            HTTPChatClient(api_key="sk-test", timeout=5.0), clock=clock
         )
-        client.complete("p", deadline_s=120.0)
+        backend.deliver("p", 0, DeadlineBudget(120.0, clock=clock))
         assert captured["timeout"] == pytest.approx(5.0)
 
     def test_expired_budget_is_a_typed_timeout_error(self, monkeypatch):
@@ -311,22 +323,19 @@ class TestDeadlineBudgets:
             "urllib.request.urlopen",
             lambda *a, **k: pytest.fail("must not touch the network"),
         )
-        clock = FaultClock()
-        client = HTTPChatClient(api_key="sk-test", clock=clock)
-        # Time leaps past the deadline between computing `expires` and the
-        # remaining-budget check of the first attempt.
-        real_monotonic = clock.monotonic
-
-        def stepping_monotonic():
-            value = real_monotonic()
-            clock.advance(3.0)
-            return value
-
-        clock.monotonic = stepping_monotonic
+        client = HTTPChatClient(api_key="sk-test")
+        # A spent budget handed to the transport fails before the request.
         with pytest.raises(ChatClientError) as exc:
-            client.complete("p", deadline_s=1.0)
+            client.complete_indexed("p", 0, timeout_s=0.0)
         assert exc.value.kind == "timeout"
         assert exc.value.retryable is False
+        # Through the backend, time leaps past the deadline between opening
+        # the budget and the first attempt: no request is issued either.
+        clock = FaultClock()
+        deadline = DeadlineBudget(1.0, clock=clock)
+        clock.advance(3.0)
+        with pytest.raises(DeadlineExceeded):
+            _backend(client, clock=clock).deliver("p", 0, deadline)
 
     def test_no_retries_once_the_budget_is_spent(self, monkeypatch):
         attempts = []
@@ -338,13 +347,13 @@ class TestDeadlineBudgets:
             raise urllib.error.URLError(TimeoutError("socket timed out"))
 
         monkeypatch.setattr("urllib.request.urlopen", slow_failing_urlopen)
-        client = HTTPChatClient(
-            api_key="sk-test",
-            clock=clock,
+        backend = _backend(
+            HTTPChatClient(api_key="sk-test"),
             retry=RetryPolicy(max_attempts=5, base_delay=0.01, clock=clock),
+            clock=clock,
         )
         with pytest.raises(ChatClientError) as exc:
-            client.complete("p", deadline_s=1.5)
+            backend.deliver("p", 0, DeadlineBudget(1.5, clock=clock))
         # The first attempt consumed the whole budget; the timeout error
         # must surface immediately instead of burning four more attempts.
         assert len(attempts) == 1
@@ -361,7 +370,7 @@ class TestDeadlineBudgets:
         assert exc.value.kind == "timeout"
         assert exc.value.retryable is True
 
-    def test_complete_indexed_bypasses_client_retry(self, monkeypatch):
+    def test_complete_indexed_is_a_single_attempt(self, monkeypatch):
         attempts = []
 
         def failing_urlopen(*args, **kwargs):
@@ -369,13 +378,11 @@ class TestDeadlineBudgets:
             raise urllib.error.URLError(ConnectionRefusedError())
 
         monkeypatch.setattr("urllib.request.urlopen", failing_urlopen)
-        client = HTTPChatClient(
-            api_key="sk-test",
-            retry=RetryPolicy(max_attempts=5, base_delay=0.01,
-                              clock=FaultClock()),
-        )
+        client = HTTPChatClient(api_key="sk-test")
         with pytest.raises(ChatClientError):
             client.complete_indexed("p", 0)
-        # The engine owns retries at the backend layer; the stateless entry
-        # point must not stack the client's own schedule on top.
-        assert len(attempts) == 1
+        with pytest.raises(ChatClientError):
+            client.complete("p")
+        # The transport never retries: the backend's policy is the only
+        # schedule, so two schedules can never multiply attempts.
+        assert len(attempts) == 2

@@ -115,8 +115,8 @@ class TestSimulatedBehaviour:
             flips = 0
             for query in queries:
                 prompt = render_prompt(POS, NEG, query)
-                first = client.complete(prompt)
-                second = client.complete(prompt)
+                first = client.complete_indexed(prompt, 0)
+                second = client.complete_indexed(prompt, 1)
                 flips += first != second
             return flips / len(queries)
 
@@ -128,15 +128,6 @@ class TestSimulatedBehaviour:
         prompt = render_prompt(POS, NEG, make_query(0, 1))
         answer = parse_response(client.complete(prompt))
         assert answer in (TRUE, FALSE)
-
-    def test_reset_restores_first_delivery(self):
-        queries = [make_query(0, 1)]
-        client = make_client(BIOGPT_PROFILE, queries, seed=0)
-        prompt = render_prompt(POS, NEG, queries[0])
-        first = client.complete(prompt)
-        client.complete(prompt)
-        client.reset()
-        assert client.complete(prompt) == first
 
 
 class TestParseResponse:
@@ -165,10 +156,17 @@ class TestCompleteIndexed:
         return SimulatedChatModel(profile, {}, 1, seed=seed)
 
     def test_matches_the_stateful_repeat_sequence(self):
-        stateful = self.client()
-        indexed = self.client()
+        # Five successive complete() calls of the earlier stateful simulator
+        # (it counted the repeats of each prompt itself) returned these.
+        stateful_texts = [
+            "is a compound of biological interest that has been studied extensively",
+            "is a compound of biological interest that has been studied extensively",
+            "the answer depends on additional experimental context not provided here",
+            "is a compound of biological interest that has been studied extensively",
+            "The triple is False.",
+        ]
+        indexed = self.client(BIOGPT_PROFILE)
         prompt = "<triple>: (a, is_a, b)\n<classification>:"
-        stateful_texts = [stateful.complete(prompt) for _ in range(5)]
         indexed_texts = [
             indexed.complete_indexed(prompt, repeat) for repeat in range(5)
         ]
@@ -185,11 +183,12 @@ class TestCompleteIndexed:
         assert client.complete_indexed(prompt, 2) == forward[2]
 
     def test_does_not_touch_delivery_history(self):
-        client = self.client()
+        client = self.client(BIOGPT_PROFILE)
         prompt = "<triple>: (a, is_a, b)\n<classification>:"
-        client.complete_indexed(prompt, 3)
-        # The stateful counter is untouched: the next complete() is repeat 0.
-        assert client.complete(prompt) == client.complete_indexed(prompt, 0)
+        first = client.complete_indexed(prompt, 0)
+        assert client.complete_indexed(prompt, 2) != first
+        # No history is kept: complete() is repeat 0 however often it runs.
+        assert [client.complete(prompt) for _ in range(3)] == [first] * 3
 
     def test_replicas_answer_identically(self):
         prompt = "<triple>: (m, is_a, n)\n<classification>:"

@@ -240,16 +240,31 @@ class TestCompareCli:
 
     @pytest.fixture()
     def measured(self, tmp_path):
-        """A committed baseline and a results file for one cheap area."""
+        """A committed baseline and a results file for one cheap area.
+
+        The area is measured once, by ``perf update``; the results file
+        carries that same measurement.  A second live timing would make
+        the exit code depend on host noise, and these tests check the
+        CLI's exit codes, not the host.
+        """
         d = str(tmp_path)
         results = str(tmp_path / "results.json")
         assert main(
             ["perf", "update", "--quick", "--dir", d, "obo_parse"]
         ) == 0
-        assert main(
-            ["perf", "run", "--quick", "--output", results, "obo_parse"]
-        ) == 0
+        write_results([load_baseline("obo_parse", d)], results)
         return d, results
+
+    def test_run_writes_a_results_file_compare_reads(self, measured):
+        d, _ = measured
+        fresh = d + "/fresh.json"
+        assert main(
+            ["perf", "run", "--quick", "--output", fresh, "obo_parse"]
+        ) == 0
+        (payload,) = load_results(fresh)
+        assert payload["area"] == "obo_parse"
+        assert payload["checksum"] == load_baseline("obo_parse", d)["checksum"]
+        assert payload["stats"]["median_s"] > 0
 
     def test_clean_run_exits_zero(self, measured, capsys):
         d, results = measured

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.datasets import train_test_split_9_1
+from repro.delivery import DeliveryBackend, DeliveryEngine
 from repro.llm.client import ChatClient, ChatClientError, EchoClient
 from repro.llm.icl import (
     ICLConfig,
@@ -35,18 +36,18 @@ def _clean_run_context():
 
 
 class CountingClient(ChatClient):
-    """Echoes 'True'; counts completions and skips separately."""
+    """Echoes 'True'; records every (prompt, repeat) it is asked for."""
 
     def __init__(self):
-        self.completions = 0
-        self.skips = 0
+        self.deliveries = []
 
-    def complete(self, prompt: str) -> str:
-        self.completions += 1
+    @property
+    def completions(self) -> int:
+        return len(self.deliveries)
+
+    def complete_indexed(self, prompt, repeat, *, timeout_s=None):
+        self.deliveries.append((prompt, repeat))
         return "True"
-
-    def skip_delivery(self, prompt: str) -> None:
-        self.skips += 1
 
 
 class FailingClient(ChatClient):
@@ -55,7 +56,7 @@ class FailingClient(ChatClient):
     def __init__(self, healthy: bool = False):
         self.healthy = healthy
 
-    def complete(self, prompt: str) -> str:
+    def complete_indexed(self, prompt, repeat, *, timeout_s=None):
         if self.healthy:
             return "True"
         raise ChatClientError("endpoint is down", status=503, retryable=True,
@@ -122,12 +123,14 @@ class TestICLCheckpointResume:
         journal = tmp_path / "icl.jsonl"
         first = CountingClient()
         self.run(first, task1_dataset, journal=journal)
-        assert first.completions == 90 and first.skips == 0
+        assert first.completions == 90
+        # 30 prompts, each asked for at repeats 0, 1 and 2 exactly once.
+        assert len(set(first.deliveries)) == 90
+        assert sorted(r for _, r in first.deliveries) == [0] * 30 + [1] * 30 + [2] * 30
 
         second = CountingClient()
         result = self.run(second, task1_dataset, journal=journal)
         assert second.completions == 0
-        assert second.skips == 90
         assert result.n_resumed == 90
 
     def test_kill_and_resume_matches_uninterrupted(self, tmp_path, task1_dataset):
@@ -217,7 +220,10 @@ class TestGracefulDegradation:
         plan = FaultPlan.parse("timeout:0.1,http500:0.05,malformed:0.05", seed=4)
         faulty = FaultyClient(inner, plan)
         retry = RetryPolicy(base_delay=0.01, clock=FaultClock(), seed=0)
-        result = self.run(faulty, task1_dataset, retry=retry)
+        with DeliveryEngine(
+            [DeliveryBackend(faulty.name, faulty, retry=retry)]
+        ) as engine:
+            result = self.run(faulty, task1_dataset, engine=engine)
 
         assert sum(faulty.injected.values()) > 0  # faults actually fired
         assert result.n_failed == 0

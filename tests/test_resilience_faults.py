@@ -62,22 +62,22 @@ class TestFaultPlanParse:
 class TestFaultPlanDraw:
     def test_deterministic_per_index(self):
         plan = FaultPlan.parse("timeout:0.3,http500:0.2", seed=5)
-        draws = [plan.draw(i) for i in range(200)]
-        assert draws == [plan.draw(i) for i in range(200)]
+        draws = [plan.draw_for("p", i, 0) for i in range(200)]
+        assert draws == [plan.draw_for("p", i, 0) for i in range(200)]
 
     def test_seed_changes_schedule(self):
-        a = [FaultPlan.parse("timeout:0.3", seed=1).draw(i) for i in range(200)]
-        b = [FaultPlan.parse("timeout:0.3", seed=2).draw(i) for i in range(200)]
+        a = [FaultPlan.parse("timeout:0.3", seed=1).draw_for(i) for i in range(200)]
+        b = [FaultPlan.parse("timeout:0.3", seed=2).draw_for(i) for i in range(200)]
         assert a != b
 
     def test_rates_roughly_respected(self):
         plan = FaultPlan.parse("timeout:0.25", seed=0)
-        hits = sum(1 for i in range(2000) if plan.draw(i) == "timeout")
+        hits = sum(1 for i in range(2000) if plan.draw_for(i) == "timeout")
         assert 0.18 < hits / 2000 < 0.32
 
     def test_rate_zero_never_fires(self):
         plan = FaultPlan.parse("timeout:0.0", seed=0)
-        assert all(plan.draw(i) is None for i in range(500))
+        assert all(plan.draw_for(i) is None for i in range(500))
 
 
 class TestFaultyClient:
@@ -97,7 +97,7 @@ class TestFaultyClient:
         for spec, (kind, status) in expectations.items():
             client = self.client(spec)
             with pytest.raises(ChatClientError) as exc:
-                client.complete("p")
+                client.complete_indexed("p", 0)
             assert exc.value.kind == kind
             assert exc.value.status == status
             assert exc.value.retryable
@@ -105,44 +105,48 @@ class TestFaultyClient:
     def test_error_faults_do_not_consume_completions(self):
         inner = EchoClient("True")
         inner_calls = []
-        original = inner.complete
-        inner.complete = lambda p: (inner_calls.append(p), original(p))[1]
+        original = inner.complete_indexed
+        inner.complete_indexed = lambda p, r, **kw: (
+            inner_calls.append((p, r)), original(p, r, **kw)
+        )[1]
         client = FaultyClient(inner, FaultPlan.parse("timeout:1.0"))
         for _ in range(3):
             with pytest.raises(ChatClientError):
-                client.complete("p")
+                client.complete_indexed("p", 0)
         assert inner_calls == []  # raised before touching the wrapped client
+        # The fourth attempt is past max_consecutive: one real completion.
+        assert client.complete_indexed("p", 0) == "True"
+        assert inner_calls == [("p", 0)]
 
     def test_max_consecutive_caps_error_runs(self):
-        client = self.client("timeout:1.0")  # would fail every call
-        failures = 0
-        for _ in range(3):
-            with pytest.raises(ChatClientError):
-                client.complete("p")
-            failures += 1
-        # Fourth call exceeds max_consecutive=3 and must succeed.
-        assert client.complete("p") == "True"
-        assert client.injected == {"timeout": 3}
+        client = self.client("timeout:1.0")  # would fail every attempt
+        for repeat in range(2):
+            for _ in range(3):
+                with pytest.raises(ChatClientError):
+                    client.complete_indexed("p", repeat)
+            # The fourth attempt exceeds max_consecutive=3 and must succeed.
+            assert client.complete_indexed("p", repeat) == "True"
+        assert client.injected == {"timeout": 6}
 
     def test_corruption_faults_consume_and_mangle(self):
         garbage = self.client("garbage:1.0")
-        out = garbage.complete("p")
+        out = garbage.complete_indexed("p", 0)
         assert out != "True" and "garbage" in out
 
         truncated = FaultyClient(
             EchoClient("a perfectly reasonable completion"),
             FaultPlan.parse("truncated:1.0"),
         )
-        out = truncated.complete("p")
+        out = truncated.complete_indexed("p", 0)
         assert out == "a perfectly reasonable completion"[
             : len("a perfectly reasonable completion") // 2
         ]
 
     def test_tallies_and_call_count(self):
         client = self.client("timeout:0.3", seed=3)
-        for _ in range(50):
+        for repeat in range(50):
             try:
-                client.complete("p")
+                client.complete_indexed("p", repeat)
             except ChatClientError:
                 pass
         assert client.calls == 50
@@ -153,21 +157,17 @@ class TestFaultyClient:
         def run():
             client = self.client("timeout:0.3,garbage:0.2", seed=9)
             outcomes = []
-            for _ in range(80):
-                try:
-                    outcomes.append(client.complete("p"))
-                except ChatClientError as error:
-                    outcomes.append(f"err:{error.kind}")
+            for repeat in range(40):
+                for _ in range(2):  # a first attempt and one retry
+                    try:
+                        outcomes.append(client.complete_indexed("p", repeat))
+                    except ChatClientError as error:
+                        outcomes.append(f"err:{error.kind}")
             return outcomes
 
-        assert run() == run()
-
-    def test_skip_delivery_delegates(self):
-        seen = []
-        inner = EchoClient("True")
-        inner.skip_delivery = lambda p: seen.append(p)
-        FaultyClient(inner, FaultPlan.parse("timeout:0.1")).skip_delivery("p")
-        assert seen == ["p"]
+        first = run()
+        assert first == run()
+        assert len(set(first)) == 3  # clean, garbage and timeout all occur
 
     def test_error_faults_constant_matches_kinds(self):
         assert ERROR_FAULTS < set(FAULT_KINDS)
